@@ -49,6 +49,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/fault
+	$(GO) test -run='^$$' -fuzz=FuzzScore -fuzztime=$(FUZZTIME) ./internal/sim
 
 # -short skips the Fig. 12 wall-clock-ordering test, whose relative search
 # times the race detector's instrumentation distorts (it fails under -race

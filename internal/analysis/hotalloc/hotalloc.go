@@ -56,7 +56,9 @@ import (
 var DefaultScope = []string{
 	"autopipe/internal/core",
 	"autopipe/internal/exec",
+	"autopipe/internal/partition",
 	"autopipe/internal/schedule",
+	"autopipe/internal/sim",
 	"autopipe/internal/slicer",
 	"autopipe/internal/obs",
 }

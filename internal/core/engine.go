@@ -58,11 +58,12 @@ func (o Options) parallelism() int {
 	return o.Parallelism
 }
 
-// runTasks evaluates task(0..n) with at most width concurrent workers. Tasks
-// write results into their own pre-allocated slots; the caller merges them in
-// deterministic order afterwards. Cancellation is checked between tasks;
-// in-flight tasks finish.
-func runTasks(ctx context.Context, width, n int, task func(int)) {
+// runTasks evaluates task(w, 0..n) with at most width concurrent workers,
+// passing each task the index w < width of the worker running it so the task
+// can use that worker's private scratch. Tasks write results into their own
+// pre-allocated slots; the caller merges them in deterministic order
+// afterwards. Cancellation is checked between tasks; in-flight tasks finish.
+func runTasks(ctx context.Context, width, n int, task func(w, i int)) {
 	if width > n {
 		width = n
 	}
@@ -71,7 +72,7 @@ func runTasks(ctx context.Context, width, n int, task func(int)) {
 			if ctx.Err() != nil {
 				return
 			}
-			task(i)
+			task(0, i)
 		}
 		return
 	}
@@ -83,7 +84,7 @@ func runTasks(ctx context.Context, width, n int, task func(int)) {
 			defer wg.Done()
 			for i := range idx {
 				if ctx.Err() == nil {
-					task(i)
+					task(w, i)
 				}
 			}
 		}()
@@ -117,7 +118,22 @@ type simCache struct {
 	hits, misses atomic.Int64
 }
 
-func (c *simCache) eval(bl *model.Blocks, part partition.Partition, m int) (Candidate, error) {
+// worker is one search worker's private scratch: the simulation kernel's
+// arrays and the stage-time buffers of the profile being scored. runTasks
+// never runs two tasks on one worker at once.
+type worker struct {
+	sim      sim.Scratch
+	fwd, bwd []float64
+}
+
+// score runs the simulation kernel on part's profile.
+func (w *worker) score(bl *model.Blocks, part partition.Partition, m int) (sim.Score, error) {
+	w.fwd, w.bwd = part.AppendStageTimes(bl, w.fwd[:0], w.bwd[:0])
+	return w.sim.Score(sim.StageProfile{Fwd: w.fwd, Bwd: w.bwd, Comm: bl.Comm, Micro: m})
+}
+
+// eval scores part on worker w, or returns the memoized score.
+func (c *simCache) eval(w *worker, bl *model.Blocks, part partition.Partition, m int) (Candidate, error) {
 	key := cacheKey{part: part.Key(), micro: m}
 	//lint:allow hotalloc memoized: entry and key boxing amortize over every repeat evaluation
 	v, loaded := c.entries.LoadOrStore(key, new(cacheEntry))
@@ -128,12 +144,12 @@ func (c *simCache) eval(bl *model.Blocks, part partition.Partition, m int) (Cand
 		c.misses.Add(1)
 	}
 	e.once.Do(func() { //lint:allow hotalloc once per distinct cache key
-		r, err := sim.SimulateProfile(part.Profile(bl, m))
+		sc, err := w.score(bl, part, m)
 		if err != nil {
 			e.err = err
 			return
 		}
-		e.cand = Candidate{Partition: part, Sim: r}
+		e.cand = Candidate{Partition: part, Score: sc}
 	})
 	return e.cand, e.err
 }
@@ -177,11 +193,11 @@ func (d *depthState) record(c Candidate) bool {
 	}
 	d.seen[key] = true
 	d.tel.Candidates++
-	if d.best.Sim == nil || candidateLess(c, d.best) {
+	if d.tel.Candidates == 1 || candidateLess(c, d.best) {
 		d.best = c
 		d.tel.Accepted++
 	}
-	d.tel.Convergence = append(d.tel.Convergence, d.best.Sim.IterTime)
+	d.tel.Convergence = append(d.tel.Convergence, d.best.Score.IterTime)
 	return true
 }
 
@@ -189,8 +205,8 @@ func (d *depthState) record(c Candidate) bool {
 // iteration time wins; exact ties break toward the lexicographically smaller
 // partition bounds so parallel and sequential runs agree bit-for-bit.
 func candidateLess(a, b Candidate) bool {
-	if a.Sim.IterTime != b.Sim.IterTime {
-		return a.Sim.IterTime < b.Sim.IterTime
+	if a.Score.IterTime != b.Score.IterTime {
+		return a.Score.IterTime < b.Score.IterTime
 	}
 	return lexLess(a.Partition.Bounds, b.Partition.Bounds)
 }
@@ -250,11 +266,17 @@ type moveRef struct {
 
 // engine runs wave-synchronous searches over one block array.
 type engine struct {
-	opts    Options
-	par     int
-	bl      *model.Blocks
-	weights []float64
-	cache   simCache
+	opts  Options
+	par   int
+	bl    *model.Blocks
+	cache simCache
+	// workers holds one scratch per worker-pool slot.
+	workers []worker
+	// table is the Algorithm 1 DP table of the current search, built in
+	// run for its deepest depth; every seed and master-move rebalance is a
+	// backtrack from it.
+	table    *partition.Table
+	tableErr error
 	// prefetch enables speculative evaluation: while phase A computes an
 	// item's cooldown adjustment, idle workers warm the cache with the
 	// master moves of the unadjusted partition — exactly phase B's task
@@ -277,11 +299,12 @@ type engine struct {
 	// The worker tasks, bound once at construction: handing runTasks a
 	// stored value instead of a per-wave closure keeps closure creation out
 	// of the wave loop.
-	taskSeed, taskAB, taskB func(int)
+	taskSeed, taskAB, taskB func(w, i int)
 }
 
 func newEngine(bl *model.Blocks, opts Options) *engine {
-	e := &engine{opts: opts, par: opts.parallelism(), bl: bl, weights: bl.Weights()}
+	e := &engine{opts: opts, par: opts.parallelism(), bl: bl}
+	e.workers = make([]worker, e.par)
 	e.prefetch = e.par > 1 && runtime.NumCPU() > 1
 	e.taskSeed = e.seedTask
 	e.taskAB = e.phaseATask
@@ -294,64 +317,66 @@ func newEngine(bl *model.Blocks, opts Options) *engine {
 // static call graph cannot follow — hence its own hot annotation.
 //
 //hot:runs on the search worker pool
-func (e *engine) seedTask(i int) {
+func (e *engine) seedTask(w, i int) {
 	d := e.ds[i]
-	var part partition.Partition
-	var err error
-	if d.p == 1 {
-		// A single stage has no pipeline structure; simulate directly.
-		part, err = partition.New([]int{0, e.bl.Len()}, e.bl.Len()) //lint:allow hotalloc once per depth per search, not per wave
+	n := e.bl.Len()
+	part := partition.Partition{Bounds: make([]int, d.p+1)} //lint:allow hotalloc once per depth per search, not per wave
+	part.Bounds[d.p] = n
+	// A single stage has no pipeline structure and is simulated as is;
+	// deeper pipelines start from Algorithm 1's balanced split.
+	if d.p > 1 {
+		err := e.tableErr
+		if err == nil {
+			err = e.table.Split(n, d.p, part.Bounds)
+		}
 		if err != nil {
-			e.seedSlots[i].err = err
+			e.seedSlots[i].err = fmt.Errorf("core: seeding depth %d: %w", d.p, err)
 			return
 		}
-	} else if part, err = partition.Balance(e.weights, d.p); err != nil {
-		e.seedSlots[i].err = fmt.Errorf("core: seeding depth %d: %w", d.p, err)
-		return
 	}
-	e.seedSlots[i].cand, e.seedSlots[i].err = e.cache.eval(e.bl, part, d.m)
+	e.seedSlots[i].cand, e.seedSlots[i].err = e.cache.eval(&e.workers[w], e.bl, part, d.m)
 }
 
 // phaseATask runs one phase-A slot: a cooldown adjustment for i < len(exps),
 // a speculative cache warm above that.
 //
 //hot:runs on the search worker pool
-func (e *engine) phaseATask(i int) {
+func (e *engine) phaseATask(w, i int) {
 	if i < len(e.exps) {
-		e.expandA(&e.exps[i])
+		e.expandA(&e.workers[w], &e.exps[i])
 		return
 	}
 	s := e.specs[i-len(e.exps)]
-	e.cache.eval(e.bl, s.part, s.m) //nolint:errcheck // cache-warming only
+	e.cache.eval(&e.workers[w], e.bl, s.part, s.m) //nolint:errcheck // cache-warming only
 }
 
 // phaseBTask evaluates one master-move candidate into its expansion slot.
 //
 //hot:runs on the search worker pool
-func (e *engine) phaseBTask(i int) {
+func (e *engine) phaseBTask(w, i int) {
 	r := e.refs[i]
-	r.x.moveCand[r.j], r.x.moveErr[r.j] = e.cache.eval(e.bl, r.x.moves[r.j], r.x.d.m)
+	r.x.moveCand[r.j], r.x.moveErr[r.j] = e.cache.eval(&e.workers[w], e.bl, r.x.moves[r.j], r.x.d.m)
 }
 
 // expandA runs the step-2 cooldown adjustment for one wave item (paper
 // Eq. (1)): evaluate the adjusted suffix and continue from it — if its
 // master stage moved, step 3 starts from the new master.
-func (e *engine) expandA(x *expansion) {
+func (e *engine) expandA(w *worker, x *expansion) {
 	cur := x.item
-	x.cur, x.master = cur, cur.Sim.Master
+	x.cur, x.master = cur, cur.Score.Master
 	if adj, changed := adjustAfterMaster(e.bl, cur.Partition, x.master); changed {
-		c, err := e.cache.eval(e.bl, adj, x.d.m)
+		c, err := e.cache.eval(w, e.bl, adj, x.d.m)
 		if err != nil {
 			x.err = err
 			return
 		}
 		x.adj, x.adjusted = c, true
-		x.cur, x.master = c, c.Sim.Master
+		x.cur, x.master = c, c.Score.Master
 	}
 	// Step 3 cannot move a master already at stage 0; generate the move
 	// candidates here (cheap and pure) so phase B is a flat evaluation list.
 	if x.master > 0 {
-		x.moves = masterMoves(e.bl, x.cur.Partition, x.master, e.weights, x.moves[:0])
+		x.moves = masterMoves(x.cur.Partition, x.master, e.table, x.moves[:0])
 	}
 }
 
@@ -365,7 +390,7 @@ func (e *engine) expandA(x *expansion) {
 func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthState) bool, onComplete func(*depthState)) error {
 	finish := func(d *depthState) {
 		d.done = true
-		d.tel.Final = d.best.Sim.IterTime
+		d.tel.Final = d.best.Score.IterTime
 		if onComplete != nil {
 			onComplete(d)
 		}
@@ -376,6 +401,11 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 	// the simclock invariant (deterministic packages read no clock that can
 	// influence a decision) stays machine-checkable.
 	seedSW := obs.NewStopwatch()
+	maxP := 1
+	for _, d := range ds {
+		maxP = max(maxP, d.p)
+	}
+	e.table, e.tableErr = partition.NewTable(e.bl.Weights(), maxP)
 	e.ds = ds
 	e.seedSlots = make([]seedSlot, len(ds))
 	runTasks(ctx, e.par, len(ds), e.taskSeed)
@@ -450,8 +480,8 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 		if e.prefetch {
 			for xi := range e.exps {
 				x := &e.exps[xi]
-				if i := x.item.Sim.Master; i > 0 {
-					e.moveBuf = masterMoves(e.bl, x.item.Partition, i, e.weights, e.moveBuf[:0])
+				if i := x.item.Score.Master; i > 0 {
+					e.moveBuf = masterMoves(x.item.Partition, i, e.table, e.moveBuf[:0])
 					for _, mv := range e.moveBuf {
 						e.specs = append(e.specs, spec{mv, x.d.m})
 					}
@@ -507,7 +537,7 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 				// Only schemes whose master moved forward (<= the current
 				// master) are refined further; a receding master means the
 				// move made things worse.
-				if fresh := d.record(c); fresh && c.Sim.Master <= x.master {
+				if fresh := d.record(c); fresh && c.Score.Master <= x.master {
 					d.next = append(d.next, c)
 				}
 			}
@@ -650,7 +680,7 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 				ar = t
 			}
 		}
-		d.score = d.best.Sim.IterTime + ar
+		d.score = d.best.Score.IterTime + ar
 		if !haveBound || d.score < bound {
 			bound, haveBound = d.score, true
 		}
@@ -733,5 +763,17 @@ func PlanDepthOpts(ctx context.Context, bl *model.Blocks, p, m int, opts Options
 		return nil, d.err
 	}
 	e.publish([]*depthState{d}, d.tel.SeedTime+d.tel.AdjustTime+d.tel.MoveTime)
-	return &PlanResult{Best: d.best, Seed: d.seed, Evaluated: d.tel.Candidates, Telemetry: d.tel}, nil
+	// The search ranked candidates by score alone; materialise the full
+	// simulation of the two it returns.
+	best, err := evaluate(bl, d.best.Partition, m)
+	if err != nil {
+		return nil, err
+	}
+	seed := best
+	if !d.seed.Partition.Equal(d.best.Partition) {
+		if seed, err = evaluate(bl, d.seed.Partition, m); err != nil {
+			return nil, err
+		}
+	}
+	return &PlanResult{Best: best, Seed: seed, Evaluated: d.tel.Candidates, Telemetry: d.tel}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"autopipe/internal/errdefs"
 	"autopipe/internal/memory"
 	"autopipe/internal/partition"
+	"autopipe/internal/sim"
 )
 
 // TestEngineDeterministicAcrossParallelism is the engine's core contract:
@@ -243,21 +244,24 @@ func TestSimCacheDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := sim.SimulateProfile(part.Profile(bl, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan Candidate, 16)
 	for i := 0; i < 16; i++ {
 		go func() {
-			c, err := e.cache.eval(bl, part, 8)
+			c, err := e.cache.eval(new(worker), bl, part, 8)
 			if err != nil {
 				t.Error(err)
 			}
 			done <- c
 		}()
 	}
-	first := <-done
-	for i := 1; i < 16; i++ {
+	for i := 0; i < 16; i++ {
 		c := <-done
-		if c.Sim != first.Sim {
-			t.Fatal("cache returned distinct results for the same key")
+		if c.Score != want.Score() || c.Sim != nil {
+			t.Fatalf("cache returned %+v, want the shared score of %v and no materialised result", c, part)
 		}
 	}
 	if got := e.cache.misses.Load(); got != 1 {
@@ -274,4 +278,31 @@ func partitionOf(n, p int) (partition.Partition, error) {
 		bounds[i] = i * n / p
 	}
 	return partition.New(bounds, n)
+}
+
+// TestPlanResultMaterialisesReturnedCandidates checks that the search, which
+// ranks candidates by score alone, hands back Best and Seed with the full
+// simulation of their partitions, consistent with the score it ranked by.
+func TestPlanResultMaterialisesReturnedCandidates(t *testing.T) {
+	for _, mc := range config.Zoo() {
+		bl := buildSub(t, mc, 4)
+		for _, p := range []int{1, 2, 4} {
+			res, err := PlanDepthOpts(context.Background(), bl, p, 12, Options{Parallelism: 2})
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", mc.Name, p, err)
+			}
+			for name, c := range map[string]Candidate{"best": res.Best, "seed": res.Seed} {
+				want, err := sim.SimulateProfile(c.Partition.Profile(bl, 12))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(c.Sim, want) {
+					t.Errorf("%s p=%d: %s.Sim differs from SimulateProfile of %v", mc.Name, p, name, c.Partition)
+				}
+				if c.Score != want.Score() {
+					t.Errorf("%s p=%d: %s.Score %+v, simulation (%v, %d)", mc.Name, p, name, c.Score, want.IterTime, want.Master)
+				}
+			}
+		}
+	}
 }

@@ -18,7 +18,12 @@ import (
 // Candidate couples a partition with its simulated outcome.
 type Candidate struct {
 	Partition partition.Partition
-	Sim       *sim.Result
+	// Score is the simulated outcome the search ranks the partition by.
+	Score sim.Score
+	// Sim is the full simulation. Searches score candidates without it and
+	// materialise it only for the candidates a PlanResult returns; it is nil
+	// on every other candidate.
+	Sim *sim.Result
 }
 
 // Telemetry records the search effort of one fixed-depth planner run: how
@@ -85,14 +90,14 @@ func PlanDepth(bl *model.Blocks, p, m int) (*PlanResult, error) {
 	return PlanDepthOpts(context.Background(), bl, p, m, Options{Parallelism: 1})
 }
 
-// evaluate simulates one partition without the engine's cache; kept for
-// one-off evaluations (seed ablations, tests).
+// evaluate simulates one partition in full, without the engine's cache: the
+// materialisation of a returned candidate.
 func evaluate(bl *model.Blocks, part partition.Partition, m int) (Candidate, error) {
 	r, err := sim.SimulateProfile(part.Profile(bl, m))
 	if err != nil {
 		return Candidate{}, err
 	}
-	return Candidate{Partition: part, Sim: r}, nil
+	return Candidate{Partition: part, Score: r.Score(), Sim: r}, nil
 }
 
 // adjustAfterMaster redistributes the blocks after master stage i so that
@@ -153,11 +158,11 @@ func adjustAfterMaster(bl *model.Blocks, part partition.Partition, i int) (parti
 
 // masterMoves generates the paper's step-3 candidates: shift the master
 // stage forward by moving its first block to stage i-1 or its last block to
-// stage i+1, each with and without re-running Algorithm 1 on the prefix up
-// to and including the stage whose size changed. Candidates — at most
-// maxMasterMoves — are appended to dst, so wave-loop callers can reuse a
-// buffer.
-func masterMoves(bl *model.Blocks, part partition.Partition, i int, weights []float64, out []partition.Partition) []partition.Partition {
+// stage i+1, each with and without re-running Algorithm 1 (a backtrack from
+// the search's DP table) on the prefix up to and including the stage whose
+// size changed. Candidates — at most maxMasterMoves — are appended to out,
+// so wave-loop callers can reuse a buffer.
+func masterMoves(part partition.Partition, i int, tab *partition.Table, out []partition.Partition) []partition.Partition {
 	p := part.Stages()
 
 	// Move the first block of stage i to stage i-1.
@@ -166,9 +171,7 @@ func masterMoves(bl *model.Blocks, part partition.Partition, i int, weights []fl
 		moved.Bounds[i]++
 		out = append(out, moved)
 		// Re-balance stages 0..i-1 over the grown prefix.
-		if reb, err := partition.BalancePrefix(moved, weights, i); err == nil && !reb.Equal(moved) {
-			out = append(out, reb)
-		}
+		out = appendRebalanced(out, moved, i, tab)
 	}
 
 	// Move the last block of stage i to stage i+1.
@@ -177,9 +180,17 @@ func masterMoves(bl *model.Blocks, part partition.Partition, i int, weights []fl
 		moved.Bounds[i+1]--
 		out = append(out, moved)
 		// Re-balance stages 0..i over the shrunk prefix.
-		if reb, err := partition.BalancePrefix(moved, weights, i+1); err == nil && !reb.Equal(moved) {
-			out = append(out, reb)
-		}
+		out = appendRebalanced(out, moved, i+1, tab)
+	}
+	return out
+}
+
+// appendRebalanced appends moved with its first stages re-balanced over the
+// block prefix they cover, unless that leaves moved unchanged.
+func appendRebalanced(out []partition.Partition, moved partition.Partition, stages int, tab *partition.Table) []partition.Partition {
+	reb := moved.Clone()
+	if err := tab.Split(reb.Bounds[stages], stages, reb.Bounds[:stages+1]); err == nil && !reb.Equal(moved) {
+		out = append(out, reb)
 	}
 	return out
 }

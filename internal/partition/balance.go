@@ -8,42 +8,70 @@ import (
 // Balance implements Algorithm 1 of the paper: given per-block weights
 // (f_i + b_i) and a pipeline depth p, it returns the contiguous partition
 // that minimizes the maximum per-stage weight, via the classic min-max
-// linear-partition dynamic program.
-//
-//	time[i][j] = min over k<i of max(time[k][j-1], prefix[i]-prefix[k])
+// linear-partition dynamic program (see Table).
 //
 // The paper seeds its heuristic search with this "relatively balanced"
 // scheme; it is only relatively balanced because block weights are lumpy
 // (embedding and head blocks differ from transformer sub-blocks).
 func Balance(weights []float64, p int) (Partition, error) {
-	n := len(weights)
+	t, err := NewTable(weights, p)
+	if err != nil {
+		return Partition{}, err
+	}
+	bounds := make([]int, p+1)
+	if err := t.Split(len(weights), p, bounds); err != nil {
+		return Partition{}, err
+	}
+	return New(bounds, len(weights))
+}
+
+// Table is Algorithm 1's dynamic-programming table over one block-weight
+// array, for up to maxStages stages:
+//
+//	time[i][j] = min over k<i of max(time[k][j-1], prefix[i]-prefix[k])
+//
+// is the best max-stage weight of the first i blocks in j stages. Row i
+// depends only on the first i weights, so one table answers the optimal
+// split of every block prefix into every stage count up to maxStages. The
+// planner builds one per search: each depth's seed is a Split of the whole
+// array, and each master move's "apply Algorithm 1 to the first i−1 stages"
+// (paper §III-B step 3) is a Split of a prefix, each an O(stages) backtrack.
+type Table struct {
+	n, p int
+	// time and from are (n+1)×(p+1), row-major; from holds the argmin k,
+	// the end of the previous stage.
+	time []float64
+	from []int
+}
+
+// NewTable runs the dynamic program over weights for 1..maxStages stages.
+func NewTable(weights []float64, maxStages int) (*Table, error) {
+	n, p := len(weights), maxStages
 	if p <= 0 {
-		return Partition{}, fmt.Errorf("partition: pipeline depth must be positive, got %d", p)
+		return nil, fmt.Errorf("partition: pipeline depth must be positive, got %d", p)
 	}
 	if n < p {
-		return Partition{}, fmt.Errorf("partition: cannot split %d blocks into %d stages", n, p)
+		return nil, fmt.Errorf("partition: cannot split %d blocks into %d stages", n, p)
 	}
 	prefix := make([]float64, n+1)
 	for i, w := range weights {
 		if w < 0 {
-			return Partition{}, fmt.Errorf("partition: negative block weight %g at index %d", w, i)
+			return nil, fmt.Errorf("partition: negative block weight %g at index %d", w, i)
 		}
 		prefix[i+1] = prefix[i] + w
+		if math.IsNaN(prefix[i+1]) || math.IsInf(prefix[i+1], 0) {
+			return nil, fmt.Errorf("partition: block weights are not finite or overflow at index %d (weight %g)", i, w)
+		}
 	}
 
 	const inf = math.MaxFloat64
-	// time[i][j]: best max-stage weight for the first i blocks in j stages.
-	time := make([][]float64, n+1)
-	from := make([][]int, n+1)
-	for i := 0; i <= n; i++ {
-		time[i] = make([]float64, p+1)
-		from[i] = make([]int, p+1)
-		for j := range time[i] {
-			time[i][j] = inf
-			from[i][j] = -1
-		}
+	w := p + 1
+	t := &Table{n: n, p: p, time: make([]float64, (n+1)*w), from: make([]int, (n+1)*w)}
+	for c := range t.time {
+		t.time[c] = inf
+		t.from[c] = -1
 	}
-	time[0][0] = 0
+	t.time[0] = 0
 	for i := 1; i <= n; i++ {
 		maxJ := p
 		if i < maxJ {
@@ -51,50 +79,51 @@ func Balance(weights []float64, p int) (Partition, error) {
 		}
 		for j := 1; j <= maxJ; j++ {
 			// k is the end of the previous stage; stage j holds (k, i].
+			c := i*w + j
 			for k := j - 1; k < i; k++ {
-				if time[k][j-1] == inf {
-					continue
+				// time[k][j-1] never decreases with k (a longer prefix
+				// never balances better, and the prefix sums are finite
+				// and monotone), so once it reaches the best max so far
+				// no later k can strictly beat it. This also stops at the
+				// infeasible (inf) entries of the j-1 = 0 column.
+				prev := t.time[k*w+j-1]
+				if prev >= t.time[c] {
+					break
 				}
 				cand := prefix[i] - prefix[k]
-				if time[k][j-1] > cand {
-					cand = time[k][j-1]
+				if prev > cand {
+					cand = prev
 				}
-				if cand < time[i][j] {
-					time[i][j] = cand
-					from[i][j] = k
+				if cand < t.time[c] {
+					t.time[c] = cand
+					t.from[c] = k
 				}
 			}
 		}
 	}
-	if time[n][p] == inf {
-		return Partition{}, fmt.Errorf("partition: no feasible %d-stage partition of %d blocks", p, n)
-	}
-
-	bounds := make([]int, p+1)
-	bounds[p] = n
-	for j, i := p, n; j > 0; j-- {
-		i = from[i][j]
-		bounds[j-1] = i
-	}
-	return New(bounds, n)
+	return t, nil
 }
 
-// BalancePrefix re-balances only the first `stages` stages of part over the
-// block prefix ending at part.Bounds[stages], leaving later bounds intact.
-// The heuristic planner uses this when it shifts the master stage (paper
-// §III-B step 3: "applies Algorithm 1 to the first i−1 stages").
-func BalancePrefix(part Partition, weights []float64, stages int) (Partition, error) {
-	if stages <= 0 || stages > part.Stages() {
-		return Partition{}, fmt.Errorf("partition: prefix stages %d out of range [1,%d]", stages, part.Stages())
+// Split writes the optimal partition of blocks [0, end) into stages stages
+// to bounds, which must have stages+1 entries: bounds[0] = 0, bounds[stages]
+// = end, and stage j owns [bounds[j], bounds[j+1]).
+//
+//hot:backtracks every seed and master-move rebalance of a planner search
+func (t *Table) Split(end, stages int, bounds []int) error {
+	if stages <= 0 || stages > t.p || end < stages || end > t.n || len(bounds) != stages+1 {
+		return fmt.Errorf("partition: cannot split %d blocks into %d stages (table covers %d blocks, %d stages, %d bounds given)",
+			end, stages, t.n, t.p, len(bounds))
 	}
-	end := part.Bounds[stages]
-	sub, err := Balance(weights[:end], stages)
-	if err != nil {
-		return Partition{}, err
+	w := t.p + 1
+	if t.time[end*w+stages] == math.MaxFloat64 {
+		return fmt.Errorf("partition: no feasible %d-stage partition of %d blocks", stages, end)
 	}
-	out := part.Clone()
-	copy(out.Bounds[:stages+1], sub.Bounds)
-	return out, nil
+	bounds[stages] = end
+	for j, i := stages, end; j > 0; j-- {
+		i = t.from[i*w+j]
+		bounds[j-1] = i
+	}
+	return nil
 }
 
 // Even returns the Megatron-LM style partition: blocks split into p runs of

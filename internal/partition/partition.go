@@ -6,6 +6,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"autopipe/internal/model"
@@ -63,26 +64,36 @@ func (p Partition) Equal(q Partition) bool {
 	return true
 }
 
-// Key returns a compact string key for visited-set bookkeeping.
+// Key returns a compact string key for visited-set bookkeeping: every bound
+// in decimal, each followed by a comma.
 func (p Partition) Key() string {
-	var sb strings.Builder
-	for _, b := range p.Bounds {
-		fmt.Fprintf(&sb, "%d,", b)
+	var buf [64]byte
+	b := buf[:0]
+	for _, x := range p.Bounds {
+		b = strconv.AppendInt(b, int64(x), 10)
+		b = append(b, ',')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // StageTimes returns the per-stage forward and backward times (the paper's
 // f_x and b_x) of p over the block array.
 func (p Partition) StageTimes(bl *model.Blocks) (f, b []float64) {
 	s := p.Stages()
-	f = make([]float64, s)
-	b = make([]float64, s)
-	for i := 0; i < s; i++ {
+	return p.AppendStageTimes(bl, make([]float64, 0, s), make([]float64, 0, s))
+}
+
+// AppendStageTimes appends p's per-stage forward and backward times to f and
+// b, so a caller scoring many partitions can reuse two buffers.
+func (p Partition) AppendStageTimes(bl *model.Blocks, f, b []float64) ([]float64, []float64) {
+	for i := 0; i < p.Stages(); i++ {
+		var fi, bi float64
 		for _, blk := range bl.List[p.Bounds[i]:p.Bounds[i+1]] {
-			f[i] += blk.Fwd
-			b[i] += blk.Bwd
+			fi += blk.Fwd
+			bi += blk.Bwd
 		}
+		f = append(f, fi)
+		b = append(b, bi)
 	}
 	return f, b
 }

@@ -1,7 +1,11 @@
 package partition
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -136,29 +140,179 @@ func TestBalanceErrors(t *testing.T) {
 	if _, err := Balance([]float64{1, -2, 3}, 2); err == nil {
 		t.Error("want error for negative weight")
 	}
+	for _, bad := range [][]float64{
+		{1, math.NaN(), 3},
+		{1, math.Inf(1), 3},
+		{math.MaxFloat64, math.MaxFloat64, 1},
+	} {
+		if _, err := Balance(bad, 2); err == nil {
+			t.Errorf("Balance(%v): want error for non-finite weights", bad)
+		}
+	}
 }
 
+// TestBalancePrefix checks the master-move rebalance: a Split of a block
+// prefix re-balances only the stages inside it, which the caller writes into
+// the leading bounds of an otherwise untouched partition.
 func TestBalancePrefix(t *testing.T) {
 	weights := []float64{4, 4, 4, 4, 4, 4, 4, 4}
 	part, err := New([]int{0, 1, 4, 6, 8}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reb, err := BalancePrefix(part, weights, 2)
+	tab, err := NewTable(weights, part.Stages())
 	if err != nil {
+		t.Fatal(err)
+	}
+	reb := part.Clone()
+	if err := tab.Split(reb.Bounds[2], 2, reb.Bounds[:3]); err != nil {
 		t.Fatal(err)
 	}
 	// First two stages cover blocks [0,4) and rebalance to 2+2.
 	if reb.Bounds[1] != 2 {
-		t.Errorf("BalancePrefix bounds = %v, want split at 2", reb.Bounds)
+		t.Errorf("prefix split bounds = %v, want split at 2", reb.Bounds)
 	}
 	// Later bounds untouched.
 	if reb.Bounds[2] != 4 || reb.Bounds[3] != 6 || reb.Bounds[4] != 8 {
-		t.Errorf("BalancePrefix disturbed suffix: %v", reb.Bounds)
+		t.Errorf("prefix split disturbed suffix: %v", reb.Bounds)
 	}
-	if _, err := BalancePrefix(part, weights, 0); err == nil {
-		t.Error("want error for zero prefix stages")
+	for _, tc := range []struct{ end, stages, nBounds int }{
+		{4, 0, 1},  // zero stages
+		{4, 5, 6},  // more stages than the table covers
+		{9, 2, 3},  // prefix longer than the array
+		{1, 2, 3},  // fewer blocks than stages
+		{4, 2, 2},  // bounds buffer of the wrong length
+		{-1, 1, 2}, // negative prefix
+	} {
+		if err := tab.Split(tc.end, tc.stages, make([]int, tc.nBounds)); err == nil {
+			t.Errorf("Split(%d, %d) into %d bounds: want error", tc.end, tc.stages, tc.nBounds)
+		}
 	}
+}
+
+// TestTableMatchesReferenceBalance is the table's differential oracle: for
+// random weights (zeros included, so equal-cost splits tie) every prefix
+// Split must equal the pre-table Balance run on that prefix alone.
+func TestTableMatchesReferenceBalance(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pairs := 0
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(14)
+		weights := make([]float64, n)
+		for i := range weights {
+			switch rng.Intn(4) {
+			case 0:
+				weights[i] = 0
+			case 1:
+				weights[i] = float64(1 + rng.Intn(3))
+			default:
+				weights[i] = rng.Float64() * 5
+			}
+		}
+		maxStages := 1 + rng.Intn(n)
+		tab, err := NewTable(weights, maxStages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for end := 1; end <= n; end++ {
+			for stages := 1; stages <= maxStages && stages <= end; stages++ {
+				want, err := referenceBalance(weights[:end], stages)
+				if err != nil {
+					t.Fatalf("reference %v into %d: %v", weights[:end], stages, err)
+				}
+				got := make([]int, stages+1)
+				if err := tab.Split(end, stages, got); err != nil {
+					t.Fatalf("Split(%d, %d) over %v: %v", end, stages, weights, err)
+				}
+				if !reflect.DeepEqual(got, want.Bounds) {
+					t.Fatalf("weights %v, prefix %d, %d stages: Split %v, reference %v", weights, end, stages, got, want.Bounds)
+				}
+				pairs++
+			}
+		}
+	}
+	t.Logf("%d (prefix, stages) pairs", pairs)
+}
+
+// TestSplitAllocationFree pins the backtrack at zero allocations.
+func TestSplitAllocationFree(t *testing.T) {
+	weights := make([]float64, 50)
+	for i := range weights {
+		weights[i] = float64(1 + i%3)
+	}
+	tab, err := NewTable(weights, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := make([]int, 9)
+	if allocs := testing.AllocsPerRun(50, func() { _ = tab.Split(40, 8, bounds) }); allocs != 0 {
+		t.Errorf("Split allocates %v times per call, want 0", allocs)
+	}
+}
+
+// referenceBalance is Algorithm 1 as Balance ran it before the shared
+// table: a fresh nested-slice DP per call. It is the oracle of
+// TestTableMatchesReferenceBalance.
+func referenceBalance(weights []float64, p int) (Partition, error) {
+	n := len(weights)
+	if p <= 0 {
+		return Partition{}, fmt.Errorf("partition: pipeline depth must be positive, got %d", p)
+	}
+	if n < p {
+		return Partition{}, fmt.Errorf("partition: cannot split %d blocks into %d stages", n, p)
+	}
+	prefix := make([]float64, n+1)
+	for i, w := range weights {
+		if w < 0 {
+			return Partition{}, fmt.Errorf("partition: negative block weight %g at index %d", w, i)
+		}
+		prefix[i+1] = prefix[i] + w
+	}
+
+	const inf = math.MaxFloat64
+	time := make([][]float64, n+1)
+	from := make([][]int, n+1)
+	for i := 0; i <= n; i++ {
+		time[i] = make([]float64, p+1)
+		from[i] = make([]int, p+1)
+		for j := range time[i] {
+			time[i][j] = inf
+			from[i][j] = -1
+		}
+	}
+	time[0][0] = 0
+	for i := 1; i <= n; i++ {
+		maxJ := p
+		if i < maxJ {
+			maxJ = i
+		}
+		for j := 1; j <= maxJ; j++ {
+			for k := j - 1; k < i; k++ {
+				if time[k][j-1] == inf {
+					continue
+				}
+				cand := prefix[i] - prefix[k]
+				if time[k][j-1] > cand {
+					cand = time[k][j-1]
+				}
+				if cand < time[i][j] {
+					time[i][j] = cand
+					from[i][j] = k
+				}
+			}
+		}
+	}
+	if time[n][p] == inf {
+		return Partition{}, fmt.Errorf("partition: no feasible %d-stage partition of %d blocks", p, n)
+	}
+
+	bounds := make([]int, p+1)
+	bounds[p] = n
+	for j, i := p, n; j > 0; j-- {
+		i = from[i][j]
+		bounds[j-1] = i
+	}
+	return New(bounds, n)
 }
 
 func TestEven(t *testing.T) {
@@ -251,5 +405,28 @@ func TestCloneEqualKey(t *testing.T) {
 	}
 	if p.Bounds[1] != 3 {
 		t.Error("clone shares backing array with original")
+	}
+}
+
+// TestKeyMatchesFormattedForm pins Key byte for byte to the "%d," form it
+// has always produced; cache keys and visited sets depend on it.
+func TestKeyMatchesFormattedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cases := []Partition{{}, {Bounds: []int{0, 1}}, {Bounds: []int{-7, 0, 1 << 30, math.MaxInt}}}
+	for i := 0; i < 200; i++ {
+		bounds := make([]int, 2+rng.Intn(40))
+		for j := 1; j < len(bounds); j++ {
+			bounds[j] = bounds[j-1] + 1 + rng.Intn(1000)
+		}
+		cases = append(cases, Partition{Bounds: bounds})
+	}
+	for _, p := range cases {
+		var sb strings.Builder
+		for _, b := range p.Bounds {
+			fmt.Fprintf(&sb, "%d,", b)
+		}
+		if got, want := p.Key(), sb.String(); got != want {
+			t.Fatalf("Key(%v) = %q, want %q", p.Bounds, got, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -215,6 +216,67 @@ func TestWireErrorContract(t *testing.T) {
 				t.Errorf("decoded error %v is not errors.Is(%v)", we, tc.wantIs)
 			}
 		})
+	}
+}
+
+// TestSimulateRejectsNonFiniteProfile: a simulate request whose profile holds
+// a NaN or infinite time is a 400 bad_config, never a timing. JSON cannot
+// carry NaN or an out-of-range number, so over the wire the decoder refuses
+// such a body; a request built in process is refused by validation, and the
+// engine itself returns the same typed error.
+func TestSimulateRejectsNonFiniteProfile(t *testing.T) {
+	srv, hs := newTestServer(t, Config{}, nil)
+	for _, body := range []string{
+		`{"kind":"simulate","profile":{"Fwd":[1,NaN],"Bwd":[1,1],"Comm":0,"Micro":4}}`,
+		`{"kind":"simulate","profile":{"Fwd":[1,1e999],"Bwd":[1,1],"Comm":0,"Micro":4}}`,
+	} {
+		resp, data := post(t, hs.URL, []byte(body), true)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (body %s)", body, resp.StatusCode, data)
+		}
+		if we := decodeWireError(t, data); we.Code != client.CodeBadConfig {
+			t.Errorf("%s: code = %q, want %q", body, we.Code, client.CodeBadConfig)
+		}
+	}
+	for _, prof := range []autopipe.StageProfile{
+		{Fwd: []float64{1, math.NaN()}, Bwd: []float64{1, 1}, Micro: 4},
+		{Fwd: []float64{1, 1}, Bwd: []float64{math.Inf(1), 1}, Micro: 4},
+		{Fwd: []float64{1, 1}, Bwd: []float64{1, 1}, Comm: math.NaN(), Micro: 4},
+	} {
+		req := client.SubmitRequest{Kind: client.KindSimulate, Profile: &prof}
+		if err := req.Validate(); !errors.Is(err, autopipe.ErrBadConfig) {
+			t.Errorf("%+v: Validate = %v, want ErrBadConfig", prof, err)
+		}
+		res, err := srv.runEngine(context.Background(), req)
+		if err == nil {
+			t.Errorf("%+v: engine returned %s, want ErrBadConfig", prof, res)
+			continue
+		}
+		if we, status := client.Encode(err); status != http.StatusBadRequest || we.Code != client.CodeBadConfig {
+			t.Errorf("%+v: engine error %v maps to %d %q, want 400 %q", prof, err, status, we.Code, client.CodeBadConfig)
+		}
+	}
+}
+
+// TestSimulateRejectsOversizedProfile: a simulate request whose stage ×
+// micro-batch product exceeds sim.MaxStageMicro is a 400 bad_config, refused
+// before the simulator sizes anything. Without the cap this 4-stage request
+// for two million micro-batches allocated over 2 GiB in one job.
+func TestSimulateRejectsOversizedProfile(t *testing.T) {
+	srv, hs := newTestServer(t, Config{}, nil)
+	body := `{"kind":"simulate","profile":{"Fwd":[1,1,1,1],"Bwd":[2,2,2,2],"Comm":0.1,"Micro":2000000}}`
+	resp, data := post(t, hs.URL, []byte(body), true)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, data)
+	}
+	if we := decodeWireError(t, data); we.Code != client.CodeBadConfig {
+		t.Errorf("code = %q, want %q", we.Code, client.CodeBadConfig)
+	}
+	prof := autopipe.StageProfile{Fwd: []float64{1, 1, 1, 1}, Bwd: []float64{2, 2, 2, 2}, Comm: 0.1, Micro: 2_000_000}
+	for _, kind := range []string{client.KindSimulate, client.KindSlice} {
+		if _, err := srv.runEngine(context.Background(), client.SubmitRequest{Kind: kind, Profile: &prof}); !errors.Is(err, autopipe.ErrBadConfig) {
+			t.Errorf("%s: engine error %v, want ErrBadConfig", kind, err)
+		}
 	}
 }
 

@@ -41,7 +41,18 @@ type StageProfile struct {
 // Stages returns the pipeline depth of the profile.
 func (p StageProfile) Stages() int { return len(p.Fwd) }
 
-// Validate reports the first structural problem with the profile. Errors wrap
+// MaxStageMicro caps Stages()×Micro, the number of forward/backward op
+// pairs one simulation lays out. The kernel's scratch and the materialised
+// op list both grow linearly with it, so the cap bounds what one profile
+// can make the simulator, the slicer, or a daemon request allocate (about
+// 40 MiB for a materialised Result at the cap) while leaving every
+// paper-scale pipeline — 64 stages of 4096 micro-batches — in range.
+const MaxStageMicro = 1 << 18
+
+// Validate reports the first structural problem with the profile: missing
+// or mismatched stage times, a micro-batch count that is not positive or
+// takes Stages()×Micro past MaxStageMicro, or a stage time or communication
+// constant that is negative, NaN, or infinite. Errors wrap
 // errdefs.ErrBadConfig.
 func (p StageProfile) Validate() error {
 	n := len(p.Fwd)
@@ -52,16 +63,25 @@ func (p StageProfile) Validate() error {
 	if p.Micro <= 0 {
 		return fmt.Errorf("%w: sim: micro-batch count must be positive, got %d", errdefs.ErrBadConfig, p.Micro)
 	}
+	if p.Micro > MaxStageMicro/n {
+		return fmt.Errorf("%w: sim: %d stages × %d micro-batches exceeds the limit of %d",
+			errdefs.ErrBadConfig, n, p.Micro, MaxStageMicro)
+	}
 	for i := 0; i < n; i++ {
-		if p.Fwd[i] < 0 || p.Bwd[i] < 0 {
-			return fmt.Errorf("%w: sim: negative stage time at stage %d", errdefs.ErrBadConfig, i)
+		if !validTime(p.Fwd[i]) || !validTime(p.Bwd[i]) {
+			return fmt.Errorf("%w: sim: stage %d times must be finite and non-negative, got fwd %g, bwd %g",
+				errdefs.ErrBadConfig, i, p.Fwd[i], p.Bwd[i])
 		}
 	}
-	if p.Comm < 0 {
-		return fmt.Errorf("%w: sim: negative communication constant %g", errdefs.ErrBadConfig, p.Comm)
+	if !validTime(p.Comm) {
+		return fmt.Errorf("%w: sim: communication constant must be finite and non-negative, got %g", errdefs.ErrBadConfig, p.Comm)
 	}
 	return nil
 }
+
+// validTime reports whether x is a usable duration: finite and
+// non-negative. NaN fails the comparison.
+func validTime(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Phase labels the pipeline phase an operation belongs to (paper Fig. 5).
 type Phase int
@@ -101,12 +121,6 @@ type Op struct {
 	// Fig. 6), or the reverse-renumbered index within Cooldown; -1 in Warmup.
 	Block      int
 	Start, End float64
-
-	// pos is the op's index within its stage's execution order.
-	pos int
-	// critPred encodes which dependency determined Start: -1 none,
-	// 0 same-stage predecessor, 1 cross-stage predecessor.
-	critPred int
 }
 
 // Result is the outcome of simulating one pipeline iteration.
@@ -126,10 +140,11 @@ type Result struct {
 	Critical []*Op
 	// Ops holds every simulated op, per stage, in execution order.
 	Ops [][]*Op
+}
 
-	F, B  []float64
-	Comm  float64
-	Micro int
+// Score returns the scalar outcome of the simulation.
+func (r *Result) Score() Score {
+	return Score{IterTime: r.IterTime, Startup: r.Startup, Master: r.Master}
 }
 
 // Simulate runs one synchronous 1F1B iteration with per-stage forward times
@@ -140,60 +155,102 @@ func Simulate(f, b []float64, comm float64, m int) (*Result, error) {
 	return SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: m})
 }
 
-// SimulateProfile runs one synchronous 1F1B iteration for the profile.
+// SimulateProfile runs one synchronous 1F1B iteration for the profile and
+// materialises every op: the explain/report path. Searches that only rank
+// candidates call Scratch.Score, which runs the same recurrences without
+// building the op list.
 func SimulateProfile(p StageProfile) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	var s Scratch
+	sc, err := s.Score(p)
+	if err != nil {
 		return nil, err
+	}
+	return s.materialise(sc), nil
+}
+
+// Score is the scalar outcome of a simulation: what a partition search
+// ranks candidates by, and all a caller that needs no op list reads.
+type Score struct {
+	// IterTime is the iteration makespan (Result.IterTime).
+	IterTime float64
+	// Startup is the pipeline startup overhead (Result.Startup).
+	Startup float64
+	// Master is the master stage (Result.Master).
+	Master int
+}
+
+// Scratch is the reusable working memory of the simulation kernel: flat
+// per-op arrays indexed stage*2m + pos, where pos is the op's index in its
+// stage's execution order. Once its buffers have grown to the largest
+// profile scored, Score allocates nothing. A Scratch must not be used by two
+// goroutines at once.
+type Scratch struct {
+	n, m       int
+	start, end []float64
+	// crit records which dependency determined each op's start: -1 none,
+	// 0 the same-stage predecessor, 1 the cross-stage predecessor.
+	crit []int8
+	// done counts the finalized ops of each stage.
+	done  []int
+	dwell []float64
+	// path is the critical path as flat op indices, last op first.
+	path []int
+}
+
+// Score runs the 1F1B recurrences for the profile and returns its iteration
+// time, startup overhead, and master stage, bit-identical to
+// SimulateProfile's.
+//
+// Stages are evaluated round-robin, each as far as its cross-stage
+// dependencies are finalized; every such dependency points to an op that
+// runs earlier in a valid pipeline execution, so the sweep reaches every op
+// and each op's start is a function of its two dependencies only.
+//
+//hot:scores every candidate partition of a planner search
+func (s *Scratch) Score(p StageProfile) (Score, error) {
+	if err := p.Validate(); err != nil {
+		return Score{}, err
 	}
 	f, b, comm, m := p.Fwd, p.Bwd, p.Comm, p.Micro
 	n := len(f)
-
-	r := &Result{F: append([]float64(nil), f...), B: append([]float64(nil), b...), Comm: comm, Micro: m}
-	r.Ops = buildSchedule(n, m)
-
-	// fwdAt[x][µ] / bwdAt[x][µ] index ops for cross-stage dependencies.
-	fwdAt := make([][]*Op, n)
-	bwdAt := make([][]*Op, n)
-	for x := 0; x < n; x++ {
-		fwdAt[x] = make([]*Op, m)
-		bwdAt[x] = make([]*Op, m)
-		for _, op := range r.Ops[x] {
-			if op.Kind == Fwd {
-				fwdAt[x][op.Micro] = op
-			} else {
-				bwdAt[x][op.Micro] = op
-			}
-		}
-	}
-
-	// The per-stage lists are already in execution order and every
-	// cross-stage dependency points to an op that appears earlier in a
-	// valid pipeline execution, so evaluating stages round-robin by op
-	// position converges in one pass per dependency chain. We use an
-	// explicit worklist sweep: iterate until fixed point (times only grow
-	// toward their unique longest-path values; each sweep finalizes at
-	// least one stage frontier, so at most n+2 sweeps run).
-	done := make([]int, n) // per-stage count of finalized ops
-	total := 0
-	for _, ops := range r.Ops {
-		total += len(ops)
-	}
-	finalized := 0
-	for finalized < total {
+	s.reset(n, m)
+	per := 2 * m
+	starts, ends, crits, done := s.start, s.end, s.crit, s.done
+	for finalized := 0; finalized < n*per; {
 		progressed := false
 		for x := 0; x < n; x++ {
-			for done[x] < len(r.Ops[x]) {
-				op := r.Ops[x][done[x]]
-				ready, start, critPred := opStart(op, r, fwdAt, bwdAt, done)
-				if !ready {
-					break
+			for done[x] < per {
+				pos := done[x]
+				i := x*per + pos
+				kind, micro, _, _ := opAt(n, m, x, pos)
+				// The same-stage predecessor is always finalized: it is
+				// the op the stage finished last.
+				start, crit := 0.0, int8(-1)
+				if pos > 0 {
+					start, crit = ends[i-1], 0
 				}
-				op.Start = start
-				op.critPred = critPred
-				if op.Kind == Fwd {
-					op.End = start + f[x]
+				if y, c := s.cross(kind, x, micro); y >= 0 {
+					if done[y] <= c {
+						break
+					}
+					// Tie-break toward the path "closest to the last
+					// pipeline stage" (paper Fig. 4): a backward's cross
+					// dependency comes from a higher stage, so it wins
+					// ties; a forward's comes from a lower stage, so the
+					// same-stage predecessor keeps ties.
+					if ce := ends[y*per+c]; ce > start || (ce == start && kind == Bwd) {
+						start, crit = ce, 1
+					}
+					// The paper charges Comm on every cross-stage op
+					// regardless of which dependency dominated (the
+					// receive occupies the stream).
+					start += comm
+				}
+				starts[i], crits[i] = start, crit
+				if kind == Fwd {
+					ends[i] = start + f[x]
 				} else {
-					op.End = start + b[x]
+					ends[i] = start + b[x]
 				}
 				done[x]++
 				finalized++
@@ -201,157 +258,161 @@ func SimulateProfile(p StageProfile) (*Result, error) {
 			}
 		}
 		if !progressed {
-			return nil, fmt.Errorf("%w: sim: dependency deadlock (internal error)", errdefs.ErrDeadlock)
+			return Score{}, fmt.Errorf("%w: sim: dependency deadlock (internal error)", errdefs.ErrDeadlock)
 		}
 	}
 
-	last := r.Ops[0][len(r.Ops[0])-1]
-	r.IterTime = last.End
-	if first := firstOp(r.Ops[n-1]); first != nil {
-		r.Startup = first.Start
-	}
-	r.Critical = criticalPath(last, r, fwdAt, bwdAt)
-	r.Master = masterStage(r)
-	return r, nil
-}
-
-// buildSchedule lays out the 1F1B execution order (paper Fig. 5/6): stage x
-// warms up with min(n-1-x, m) forwards, alternates forward/backward blocks
-// in the 1F1B phase, and cools down with the remaining backwards.
-func buildSchedule(n, m int) [][]*Op {
-	ops := make([][]*Op, n)
-	for x := 0; x < n; x++ {
-		warm := n - 1 - x
-		if warm > m {
-			warm = m
-		}
-		var list []*Op
-		for µ := 0; µ < warm; µ++ {
-			list = append(list, &Op{Stage: x, Micro: µ, Kind: Fwd, Phase: Warmup, Block: -1})
-		}
-		// 1F1B blocks: block y pairs F(µ=warm+y) with B(µ=y).
-		blocks := m - warm
-		for y := 0; y < blocks; y++ {
-			list = append(list, &Op{Stage: x, Micro: warm + y, Kind: Fwd, Phase: OneFOneB, Block: y})
-			list = append(list, &Op{Stage: x, Micro: y, Kind: Bwd, Phase: OneFOneB, Block: y})
-		}
-		// Cooldown backwards, renumbered in reverse order (paper Fig. 6):
-		// the final backward gets index 0.
-		for µ := blocks; µ < m; µ++ {
-			list = append(list, &Op{Stage: x, Micro: µ, Kind: Bwd, Phase: Cooldown, Block: m - 1 - µ})
-		}
-		for i, op := range list {
-			op.pos = i
-		}
-		ops[x] = list
-	}
-	return ops
-}
-
-// opStart computes the start time of op if all its dependencies are
-// finalized. done[x] counts finalized ops on stage x.
-func opStart(op *Op, r *Result, fwdAt, bwdAt [][]*Op, done []int) (ready bool, start float64, critPred int) {
-	n := len(r.Ops)
-	var same, cross *Op
-	if op.pos > 0 {
-		same = r.Ops[op.Stage][op.pos-1]
-		if done[op.Stage] <= same.pos {
-			return false, 0, 0
-		}
-	}
-	hasComm := false
-	if op.Kind == Fwd && op.Stage > 0 {
-		cross = fwdAt[op.Stage-1][op.Micro]
-		hasComm = true
-	} else if op.Kind == Bwd && op.Stage < n-1 {
-		cross = bwdAt[op.Stage+1][op.Micro]
-		hasComm = true
-	}
-	if cross != nil && done[cross.Stage] <= cross.pos {
-		return false, 0, 0
-	}
-
-	start, critPred = 0, -1
-	if same != nil {
-		start, critPred = same.End, 0
-	}
-	if cross != nil {
-		// Tie-break toward the path "closest to the last pipeline stage"
-		// (paper Fig. 4): a backward's cross dependency comes from a higher
-		// stage, so it wins ties; a forward's comes from a lower stage, so
-		// the same-stage predecessor keeps ties.
-		if cross.End > start || (cross.End == start && op.Kind == Bwd) {
-			start, critPred = cross.End, 1
-		}
-	}
-	if hasComm {
-		// The paper charges Comm on every cross-stage op regardless of
-		// which dependency dominated (the receive occupies the stream).
-		start += r.Comm
-	}
-	return true, start, critPred
-}
-
-func firstOp(ops []*Op) *Op {
-	if len(ops) == 0 {
-		return nil
-	}
-	return ops[0]
-}
-
-// criticalPath backtracks the recorded argmax decisions from the final op.
-func criticalPath(last *Op, r *Result, fwdAt, bwdAt [][]*Op) []*Op {
-	var rev []*Op
-	for op := last; op != nil; {
-		rev = append(rev, op)
-		switch op.critPred {
+	// Backtrack the recorded argmax decisions from the final op, the last
+	// backward of stage 0.
+	s.path = s.path[:0]
+	for i := per - 1; i >= 0; {
+		s.path = append(s.path, i)
+		switch s.crit[i] {
 		case 0:
-			op = r.Ops[op.Stage][op.pos-1]
+			i--
 		case 1:
-			if op.Kind == Fwd {
-				op = fwdAt[op.Stage-1][op.Micro]
-			} else {
-				op = bwdAt[op.Stage+1][op.Micro]
-			}
+			x := i / per
+			kind, micro, _, _ := opAt(n, m, x, i%per)
+			y, c := s.cross(kind, x, micro)
+			i = y*per + c
 		default:
-			op = nil
+			i = -1
 		}
 	}
-	// Reverse into chronological order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return Score{IterTime: s.end[per-1], Startup: s.start[(n-1)*per], Master: s.master()}, nil
 }
 
-// masterStage returns the stage whose compute dominates the critical path in
-// the 1F1B phase: the stage with the heaviest load, which drives succeeding
+// reset sizes the scratch for an n-stage, m-micro-batch profile.
+func (s *Scratch) reset(n, m int) {
+	s.n, s.m = n, m
+	ops := 2 * n * m
+	if cap(s.start) < ops {
+		s.start = make([]float64, ops)
+		s.end = make([]float64, ops)
+		s.crit = make([]int8, ops)
+	}
+	s.start, s.end, s.crit = s.start[:ops], s.end[:ops], s.crit[:ops]
+	if cap(s.done) < n {
+		s.done = make([]int, n)
+		s.dwell = make([]float64, n)
+	}
+	s.done, s.dwell = s.done[:n], s.dwell[:n]
+	clear(s.done)
+}
+
+// cross returns the stage and position of the cross-stage dependency of the
+// kind op of micro-batch micro on stage x, or stage -1 when it has none: a
+// forward waits for the upstream forward, a backward for the downstream
+// backward.
+func (s *Scratch) cross(kind OpKind, x, micro int) (stage, pos int) {
+	if kind == Fwd {
+		if x == 0 {
+			return -1, 0
+		}
+		return x - 1, fwdPos(s.n, s.m, x-1, micro)
+	}
+	if x == s.n-1 {
+		return -1, 0
+	}
+	return x + 1, bwdPos(s.n, s.m, x+1, micro)
+}
+
+// master returns the stage whose compute dominates the critical path in the
+// 1F1B phase: the stage with the heaviest load, which drives succeeding
 // stages through its forwards and preceding stages through its backwards.
-func masterStage(r *Result) int {
-	dwell := make([]float64, len(r.Ops))
+// Dwell is summed in chronological path order.
+//
+//hot:runs once per scored candidate, after the recurrences
+func (s *Scratch) master() int {
+	per := 2 * s.m
+	clear(s.dwell)
 	any := false
-	for _, op := range r.Critical {
-		if op.Phase == OneFOneB {
-			dwell[op.Stage] += op.End - op.Start
+	for k := len(s.path) - 1; k >= 0; k-- {
+		i := s.path[k]
+		if _, _, phase, _ := opAt(s.n, s.m, i/per, i%per); phase == OneFOneB {
+			s.dwell[i/per] += s.end[i] - s.start[i]
 			any = true
 		}
 	}
 	if !any {
 		// Degenerate pipelines (m < n) may have an empty 1F1B phase; fall
 		// back to the heaviest critical-path stage overall.
-		for _, op := range r.Critical {
-			dwell[op.Stage] += op.End - op.Start
+		for k := len(s.path) - 1; k >= 0; k-- {
+			i := s.path[k]
+			s.dwell[i/per] += s.end[i] - s.start[i]
 		}
 	}
 	best, bestT := 0, math.Inf(-1)
-	for s, t := range dwell {
+	for x, t := range s.dwell {
 		// Ties resolve toward the last stage, matching the critical-path
 		// uniqueness rule.
 		if t >= bestT {
-			best, bestT = s, t
+			best, bestT = x, t
 		}
 	}
 	return best
+}
+
+// The 1F1B execution order of stage x (paper Fig. 5/6): warm = min(n-1-x, m)
+// warmup forwards, then blocks = m-warm 1F1B blocks — block y pairs
+// F(warm+y) with B(y) — then the remaining backwards of the cooldown,
+// renumbered in reverse order so the final backward gets block index 0.
+
+// opAt decodes position pos of stage x's execution order.
+func opAt(n, m, x, pos int) (kind OpKind, micro int, phase Phase, block int) {
+	warm := min(n-1-x, m)
+	switch rel := pos - warm; {
+	case rel < 0:
+		return Fwd, pos, Warmup, -1
+	case rel < 2*(m-warm):
+		if rel%2 == 0 {
+			return Fwd, warm + rel/2, OneFOneB, rel / 2
+		}
+		return Bwd, rel / 2, OneFOneB, rel / 2
+	default:
+		micro = pos - m
+		return Bwd, micro, Cooldown, m - 1 - micro
+	}
+}
+
+// fwdPos returns the position of micro-batch micro's forward on stage x.
+func fwdPos(n, m, x, micro int) int {
+	warm := min(n-1-x, m)
+	if micro < warm {
+		return micro
+	}
+	return warm + 2*(micro-warm)
+}
+
+// bwdPos returns the position of micro-batch micro's backward on stage x.
+func bwdPos(n, m, x, micro int) int {
+	warm := min(n-1-x, m)
+	if micro < m-warm {
+		return warm + 2*micro + 1
+	}
+	return m + micro
+}
+
+// materialise builds the full Result of the profile s last scored.
+func (s *Scratch) materialise(sc Score) *Result {
+	n, per := s.n, 2*s.m
+	r := &Result{IterTime: sc.IterTime, Startup: sc.Startup, Master: sc.Master, Ops: make([][]*Op, n)}
+	slab := make([]Op, n*per)
+	ptrs := make([]*Op, n*per)
+	for i := range slab {
+		x, pos := i/per, i%per
+		kind, micro, phase, block := opAt(n, s.m, x, pos)
+		slab[i] = Op{Stage: x, Micro: micro, Kind: kind, Phase: phase, Block: block, Start: s.start[i], End: s.end[i]}
+		ptrs[i] = &slab[i]
+	}
+	for x := range r.Ops {
+		r.Ops[x] = ptrs[x*per : (x+1)*per : (x+1)*per]
+	}
+	r.Critical = make([]*Op, len(s.path))
+	for k, i := range s.path {
+		r.Critical[len(s.path)-1-k] = ptrs[i]
+	}
+	return r
 }
 
 // PhaseWindows returns, per stage, the wall-clock boundaries

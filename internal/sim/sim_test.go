@@ -1,9 +1,15 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"autopipe/internal/errdefs"
 )
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b)) }
@@ -290,4 +296,450 @@ func TestPhaseWindows(t *testing.T) {
 	if last := windows[len(windows)-1]; last[0] != r.Startup {
 		t.Errorf("last stage warmup window ends at %g, want startup %g", last[0], r.Startup)
 	}
+}
+
+// TestValidateFixtures pins StageProfile.Validate's must-accept and
+// must-reject cases: NaN and ±Inf in any stage time or the communication
+// constant, and a stage×micro-batch product past MaxStageMicro, are
+// configuration errors for the validator, the kernel, and the explain path
+// alike, not inputs the recurrences silently propagate or size memory by.
+func TestValidateFixtures(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	two := []float64{1, 1}
+	for _, tc := range []struct {
+		name string
+		p    StageProfile
+		ok   bool
+	}{
+		{"ok two stages", StageProfile{Fwd: two, Bwd: two, Comm: 0.1, Micro: 4}, true},
+		{"ok zero times", StageProfile{Fwd: []float64{0, 0}, Bwd: []float64{0, 0}, Micro: 1}, true},
+		{"ok huge finite time", StageProfile{Fwd: []float64{0, math.MaxFloat64 / 8}, Bwd: []float64{0, 1}, Micro: 1}, true},
+		{"ok at cap", StageProfile{Fwd: make([]float64, 4), Bwd: make([]float64, 4), Micro: MaxStageMicro / 4}, true},
+		{"ok single stage at cap", StageProfile{Fwd: []float64{1}, Bwd: []float64{1}, Micro: MaxStageMicro}, true},
+		{"no stages", StageProfile{Micro: 1}, false},
+		{"mismatched stages", StageProfile{Fwd: two, Bwd: []float64{1}, Micro: 1}, false},
+		{"zero micro", StageProfile{Fwd: two, Bwd: two}, false},
+		{"negative micro", StageProfile{Fwd: two, Bwd: two, Micro: -3}, false},
+		{"negative time", StageProfile{Fwd: []float64{-1, 1}, Bwd: two, Micro: 4}, false},
+		{"negative comm", StageProfile{Fwd: two, Bwd: two, Comm: -0.5, Micro: 4}, false},
+		{"fwd NaN", StageProfile{Fwd: []float64{1, nan}, Bwd: two, Micro: 4}, false},
+		{"fwd +Inf", StageProfile{Fwd: []float64{inf, 1}, Bwd: two, Micro: 4}, false},
+		{"fwd -Inf", StageProfile{Fwd: []float64{-inf, 1}, Bwd: two, Micro: 4}, false},
+		{"bwd NaN", StageProfile{Fwd: two, Bwd: []float64{nan, 1}, Micro: 4}, false},
+		{"bwd +Inf", StageProfile{Fwd: two, Bwd: []float64{1, inf}, Micro: 4}, false},
+		{"bwd -Inf", StageProfile{Fwd: two, Bwd: []float64{1, -inf}, Micro: 4}, false},
+		{"comm NaN", StageProfile{Fwd: two, Bwd: two, Comm: nan, Micro: 4}, false},
+		{"comm +Inf", StageProfile{Fwd: two, Bwd: two, Comm: inf, Micro: 4}, false},
+		{"comm -Inf", StageProfile{Fwd: two, Bwd: two, Comm: -inf, Micro: 4}, false},
+		{"single stage NaN", StageProfile{Fwd: []float64{1}, Bwd: []float64{nan}, Micro: 1}, false},
+		{"one past cap", StageProfile{Fwd: make([]float64, 4), Bwd: make([]float64, 4), Micro: MaxStageMicro/4 + 1}, false},
+		{"huge micro", StageProfile{Fwd: make([]float64, 4), Bwd: make([]float64, 4), Micro: 2_000_000}, false},
+		{"max int micro", StageProfile{Fwd: make([]float64, 3), Bwd: make([]float64, 3), Micro: math.MaxInt}, false},
+		{"too many stages", StageProfile{Fwd: make([]float64, MaxStageMicro+1), Bwd: make([]float64, MaxStageMicro+1), Micro: 1}, false},
+	} {
+		err := tc.p.Validate()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: Validate = %v, want nil", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("%s: Validate = %v, want ErrBadConfig", tc.name, err)
+		}
+		if r, err := SimulateProfile(tc.p); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("%s: SimulateProfile = (%v, %v), want ErrBadConfig", tc.name, r, err)
+		}
+		var s Scratch
+		if _, err := s.Score(tc.p); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("%s: Score err = %v, want ErrBadConfig", tc.name, err)
+		}
+	}
+}
+
+// randomProfile draws a profile for the differential tests. A third of the
+// draws use small integer times so that equal-length dependencies tie and
+// every tie-break rule is exercised; the stage count often exceeds the
+// micro-batch count, and Comm is zero a third of the time.
+func randomProfile(rng *rand.Rand) StageProfile {
+	n := 1 + rng.Intn(8)
+	m := 1 + rng.Intn(12)
+	integer := rng.Intn(3) == 0
+	draw := func() float64 {
+		if integer {
+			return float64(rng.Intn(4))
+		}
+		return rng.Float64() * 3
+	}
+	p := StageProfile{Fwd: make([]float64, n), Bwd: make([]float64, n), Micro: m}
+	for i := range p.Fwd {
+		p.Fwd[i], p.Bwd[i] = draw(), draw()
+	}
+	switch rng.Intn(3) {
+	case 0:
+	case 1:
+		p.Comm = float64(rng.Intn(2))
+	default:
+		p.Comm = rng.Float64() * 0.5
+	}
+	return p
+}
+
+// TestScoreMatchesReference is the kernel's differential oracle: on random
+// profiles the flat kernel must reproduce the reference simulator's
+// iteration time, startup, and master stage bit for bit, and the
+// materialised Result must reproduce every op time and the critical path.
+func TestScoreMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var s Scratch
+	singles, short, ties := 0, 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		p := randomProfile(rng)
+		want, err := referenceSimulate(p)
+		if err != nil {
+			t.Fatalf("reference %+v: %v", p, err)
+		}
+		got, err := s.Score(p)
+		if err != nil {
+			t.Fatalf("Score %+v: %v", p, err)
+		}
+		if got != want.score() {
+			t.Fatalf("profile %+v: Score = %+v, reference %+v", p, got, want.score())
+		}
+		// The master stage is an argmax over summed dwell, so the sums must
+		// agree bit for bit too, not only their argmax on these draws.
+		if dwell := refDwell(want); !reflect.DeepEqual(s.dwell, dwell) {
+			t.Fatalf("profile %+v: critical-path dwell %v, reference %v", p, s.dwell, dwell)
+		}
+		if p.Stages() == 1 {
+			singles++
+		}
+		if p.Micro < p.Stages() {
+			short++
+		}
+		if p.Fwd[0] == math.Trunc(p.Fwd[0]) {
+			ties++
+		}
+		if trial%10 != 0 {
+			continue
+		}
+		r, err := SimulateProfile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Score() != want.score() {
+			t.Fatalf("profile %+v: SimulateProfile %+v, reference %+v", p, r.Score(), want.score())
+		}
+		for x, ops := range want.Ops {
+			for i, op := range ops {
+				if *r.Ops[x][i] != op.Op {
+					t.Fatalf("profile %+v: stage %d op %d = %+v, reference %+v", p, x, i, *r.Ops[x][i], op.Op)
+				}
+			}
+		}
+		if len(r.Critical) != len(want.Critical) {
+			t.Fatalf("profile %+v: critical path length %d, reference %d", p, len(r.Critical), len(want.Critical))
+		}
+		for i, op := range want.Critical {
+			if *r.Critical[i] != op.Op {
+				t.Fatalf("profile %+v: critical op %d = %+v, reference %+v", p, i, *r.Critical[i], op.Op)
+			}
+		}
+	}
+	if singles == 0 || short == 0 || ties == 0 {
+		t.Errorf("draws missed a class: %d single-stage, %d m<n, %d integer-valued", singles, short, ties)
+	}
+}
+
+// FuzzScore drives the kernel and the reference simulator with the same
+// fuzzed profile: a stage and micro-batch count, a communication constant,
+// and one byte per stage time. Byte-valued times make equal-length
+// dependencies tie often, so the tie-break rules are exercised; a non-finite
+// or negative Comm must be rejected by both.
+func FuzzScore(f *testing.F) {
+	f.Add(uint8(3), uint8(5), 0.25, []byte{4, 8, 4, 8, 4, 8})
+	f.Add(uint8(7), uint8(2), 0.0, []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add(uint8(0), uint8(0), 1.0, []byte{0, 9})
+	f.Add(uint8(2), uint8(3), math.NaN(), []byte{3, 3, 3, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, stages, micro uint8, comm float64, times []byte) {
+		n, m := 1+int(stages%8), 1+int(micro%16)
+		p := StageProfile{Fwd: make([]float64, n), Bwd: make([]float64, n), Comm: comm, Micro: m}
+		for i := 0; i < n; i++ {
+			if 2*i+1 < len(times) {
+				p.Fwd[i], p.Bwd[i] = float64(times[2*i])/16, float64(times[2*i+1])/16
+			}
+		}
+		var s Scratch
+		got, err := s.Score(p)
+		want, refErr := referenceSimulate(p)
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("profile %+v: Score error %v, reference error %v", p, err, refErr)
+		}
+		if err != nil {
+			if !errors.Is(err, errdefs.ErrBadConfig) {
+				t.Fatalf("profile %+v: Score error %v, want ErrBadConfig", p, err)
+			}
+			return
+		}
+		if got != want.score() {
+			t.Fatalf("profile %+v: Score = %+v, reference %+v", p, got, want.score())
+		}
+	})
+}
+
+// BenchmarkScore times the kernel on a warm scratch: an 8-stage profile
+// of 64 micro-batches, the depth and micro-batch count of a mid-sized
+// planner candidate.
+func BenchmarkScore(b *testing.B) {
+	p := StageProfile{
+		Fwd: []float64{1, 1.5, 1, 1.2, 0.9, 1.1, 1, 1.3}, Bwd: []float64{2, 3, 2, 2.4, 1.8, 2.2, 2, 2.6},
+		Comm: 0.05, Micro: 64,
+	}
+	var s Scratch
+	if _, err := s.Score(p); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Score(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestScoreAllocationFree pins the kernel at zero allocations once its
+// scratch has grown to the profile.
+func TestScoreAllocationFree(t *testing.T) {
+	p := StageProfile{
+		Fwd: []float64{1, 1.5, 1, 1.2, 0.9, 1.1, 1, 1.3}, Bwd: []float64{2, 3, 2, 2.4, 1.8, 2.2, 2, 2.6},
+		Comm: 0.05, Micro: 64,
+	}
+	var s Scratch
+	if _, err := s.Score(p); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _, _ = s.Score(p) }); allocs != 0 {
+		t.Errorf("Score allocates %v times per call, want 0", allocs)
+	}
+}
+
+// The reference simulator below is the Op-pointer worklist sweep the flat
+// kernel replaced, kept verbatim apart from the refOp/refResult types that
+// carry its bookkeeping, opStart taking comm directly now that Result no
+// longer copies it, and the split of the master-stage argmax from the
+// dwell sums it ranks (refDwell), which the oracle compares directly. It is
+// the oracle of TestScoreMatchesReference and FuzzScore.
+
+type refOp struct {
+	Op
+
+	// pos is the op's index within its stage's execution order.
+	pos int
+	// critPred encodes which dependency determined Start: -1 none,
+	// 0 same-stage predecessor, 1 cross-stage predecessor.
+	critPred int
+}
+
+type refResult struct {
+	IterTime, Startup float64
+	Master            int
+	Critical          []*refOp
+	Ops               [][]*refOp
+}
+
+func (r *refResult) score() Score {
+	return Score{IterTime: r.IterTime, Startup: r.Startup, Master: r.Master}
+}
+
+func referenceSimulate(p StageProfile) (*refResult, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	f, b, comm, m := p.Fwd, p.Bwd, p.Comm, p.Micro
+	n := len(f)
+
+	r := &refResult{}
+	r.Ops = refBuildSchedule(n, m)
+
+	// fwdAt[x][µ] / bwdAt[x][µ] index ops for cross-stage dependencies.
+	fwdAt := make([][]*refOp, n)
+	bwdAt := make([][]*refOp, n)
+	for x := 0; x < n; x++ {
+		fwdAt[x] = make([]*refOp, m)
+		bwdAt[x] = make([]*refOp, m)
+		for _, op := range r.Ops[x] {
+			if op.Kind == Fwd {
+				fwdAt[x][op.Micro] = op
+			} else {
+				bwdAt[x][op.Micro] = op
+			}
+		}
+	}
+
+	done := make([]int, n) // per-stage count of finalized ops
+	total := 0
+	for _, ops := range r.Ops {
+		total += len(ops)
+	}
+	finalized := 0
+	for finalized < total {
+		progressed := false
+		for x := 0; x < n; x++ {
+			for done[x] < len(r.Ops[x]) {
+				op := r.Ops[x][done[x]]
+				ready, start, critPred := refOpStart(op, r, fwdAt, bwdAt, done, comm)
+				if !ready {
+					break
+				}
+				op.Start = start
+				op.critPred = critPred
+				if op.Kind == Fwd {
+					op.End = start + f[x]
+				} else {
+					op.End = start + b[x]
+				}
+				done[x]++
+				finalized++
+				progressed = true
+			}
+		}
+		if !progressed {
+			return nil, fmt.Errorf("%w: sim: dependency deadlock (internal error)", errdefs.ErrDeadlock)
+		}
+	}
+
+	last := r.Ops[0][len(r.Ops[0])-1]
+	r.IterTime = last.End
+	if first := refFirstOp(r.Ops[n-1]); first != nil {
+		r.Startup = first.Start
+	}
+	r.Critical = refCriticalPath(last, r, fwdAt, bwdAt)
+	r.Master = refMasterStage(r)
+	return r, nil
+}
+
+func refBuildSchedule(n, m int) [][]*refOp {
+	ops := make([][]*refOp, n)
+	for x := 0; x < n; x++ {
+		warm := n - 1 - x
+		if warm > m {
+			warm = m
+		}
+		var list []*refOp
+		for µ := 0; µ < warm; µ++ {
+			list = append(list, &refOp{Op: Op{Stage: x, Micro: µ, Kind: Fwd, Phase: Warmup, Block: -1}})
+		}
+		// 1F1B blocks: block y pairs F(µ=warm+y) with B(µ=y).
+		blocks := m - warm
+		for y := 0; y < blocks; y++ {
+			list = append(list, &refOp{Op: Op{Stage: x, Micro: warm + y, Kind: Fwd, Phase: OneFOneB, Block: y}})
+			list = append(list, &refOp{Op: Op{Stage: x, Micro: y, Kind: Bwd, Phase: OneFOneB, Block: y}})
+		}
+		// Cooldown backwards, renumbered in reverse order (paper Fig. 6):
+		// the final backward gets index 0.
+		for µ := blocks; µ < m; µ++ {
+			list = append(list, &refOp{Op: Op{Stage: x, Micro: µ, Kind: Bwd, Phase: Cooldown, Block: m - 1 - µ}})
+		}
+		for i, op := range list {
+			op.pos = i
+		}
+		ops[x] = list
+	}
+	return ops
+}
+
+func refOpStart(op *refOp, r *refResult, fwdAt, bwdAt [][]*refOp, done []int, comm float64) (ready bool, start float64, critPred int) {
+	n := len(r.Ops)
+	var same, cross *refOp
+	if op.pos > 0 {
+		same = r.Ops[op.Stage][op.pos-1]
+		if done[op.Stage] <= same.pos {
+			return false, 0, 0
+		}
+	}
+	hasComm := false
+	if op.Kind == Fwd && op.Stage > 0 {
+		cross = fwdAt[op.Stage-1][op.Micro]
+		hasComm = true
+	} else if op.Kind == Bwd && op.Stage < n-1 {
+		cross = bwdAt[op.Stage+1][op.Micro]
+		hasComm = true
+	}
+	if cross != nil && done[cross.Stage] <= cross.pos {
+		return false, 0, 0
+	}
+
+	start, critPred = 0, -1
+	if same != nil {
+		start, critPred = same.End, 0
+	}
+	if cross != nil {
+		if cross.End > start || (cross.End == start && op.Kind == Bwd) {
+			start, critPred = cross.End, 1
+		}
+	}
+	if hasComm {
+		start += comm
+	}
+	return true, start, critPred
+}
+
+func refFirstOp(ops []*refOp) *refOp {
+	if len(ops) == 0 {
+		return nil
+	}
+	return ops[0]
+}
+
+func refCriticalPath(last *refOp, r *refResult, fwdAt, bwdAt [][]*refOp) []*refOp {
+	var rev []*refOp
+	for op := last; op != nil; {
+		rev = append(rev, op)
+		switch op.critPred {
+		case 0:
+			op = r.Ops[op.Stage][op.pos-1]
+		case 1:
+			if op.Kind == Fwd {
+				op = fwdAt[op.Stage-1][op.Micro]
+			} else {
+				op = bwdAt[op.Stage+1][op.Micro]
+			}
+		default:
+			op = nil
+		}
+	}
+	// Reverse into chronological order.
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+func refMasterStage(r *refResult) int {
+	dwell := refDwell(r)
+	best, bestT := 0, math.Inf(-1)
+	for s, t := range dwell {
+		if t >= bestT {
+			best, bestT = s, t
+		}
+	}
+	return best
+}
+
+func refDwell(r *refResult) []float64 {
+	dwell := make([]float64, len(r.Ops))
+	any := false
+	for _, op := range r.Critical {
+		if op.Phase == OneFOneB {
+			dwell[op.Stage] += op.End - op.Start
+			any = true
+		}
+	}
+	if !any {
+		for _, op := range r.Critical {
+			dwell[op.Stage] += op.End - op.Start
+		}
+	}
+	return dwell
 }
