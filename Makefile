@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzScore -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzMatMul -fuzztime=$(FUZZTIME) ./internal/tensor
 
 # -short skips the Fig. 12 wall-clock-ordering test, whose relative search
 # times the race detector's instrumentation distorts (it fails under -race
@@ -77,7 +78,8 @@ race-wide:
 race-all: race-core race-wide
 
 # bench-smoke compiles and runs every micro-benchmark exactly once — planner,
-# exec event loop, schedule dependency graphs, slicer, obs registry — then
+# exec event loop, schedule dependency graphs, slicer, obs registry, tensor
+# matmul kernels, the pipelined training step — then
 # drives the autopipebench suite in one-iteration mode and self-compares the
 # result (correctness smoke, not a measurement); the -run filter skips tests.
 bench-smoke:

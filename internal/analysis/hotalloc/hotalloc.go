@@ -61,6 +61,7 @@ var DefaultScope = []string{
 	"autopipe/internal/sim",
 	"autopipe/internal/slicer",
 	"autopipe/internal/obs",
+	"autopipe/internal/tensor",
 }
 
 // DefaultHot names the designated hot functions (types.Func.FullName form),

@@ -70,8 +70,9 @@ func (a *CausalSelfAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 
 	probs := tensor.New(B, nh, S, S)
 	ctxOut := tensor.New(B, S, a.Hidden)
-	at := func(t *tensor.Tensor, b, s, h, d int) float64 {
-		return t.Data[(b*S+s)*a.Hidden+h*hd+d]
+	// head returns position s's hd-wide slice of head h in t.
+	head := func(t *tensor.Tensor, b, s, h int) []float64 {
+		return t.Data[(b*S+s)*a.Hidden+h*hd:][:hd]
 	}
 	for b := 0; b < B; b++ {
 		for h := 0; h < nh; h++ {
@@ -79,11 +80,13 @@ func (a *CausalSelfAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 				// Position i attends to 0..lim (lim = i when causal).
 				lim := a.limit(i, S)
 				row := probs.Data[((b*nh+h)*S+i)*S : ((b*nh+h)*S+i)*S+S]
+				qi := head(q, b, i, h)
 				mx := math.Inf(-1)
 				for j := 0; j <= lim; j++ {
+					kj := head(k, b, j, h)[:len(qi)]
 					var s64 float64
-					for d := 0; d < hd; d++ {
-						s64 += at(q, b, i, h, d) * at(k, b, j, h, d)
+					for d, qv := range qi {
+						s64 += qv * kj[d]
 					}
 					row[j] = s64 * scale
 					if row[j] > mx {
@@ -98,12 +101,13 @@ func (a *CausalSelfAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 				for j := 0; j <= lim; j++ {
 					row[j] /= sum
 				}
-				for d := 0; d < hd; d++ {
-					var s64 float64
-					for j := 0; j <= lim; j++ {
-						s64 += row[j] * at(v, b, j, h, d)
+				// ctx[d] = Σ_j p[j]*v[j,d], summed over j in order per d.
+				ci := head(ctxOut, b, i, h)
+				for j := 0; j <= lim; j++ {
+					p, vj := row[j], head(v, b, j, h)[:len(ci)]
+					for d, cv := range ci {
+						ci[d] = cv + p*vj[d]
 					}
-					ctxOut.Data[(b*S+i)*a.Hidden+h*hd+d] = s64
 				}
 			}
 		}
@@ -125,11 +129,8 @@ func (a *CausalSelfAttention) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tenso
 	dq := tensor.New(B, S, a.Hidden)
 	dk := tensor.New(B, S, a.Hidden)
 	dv := tensor.New(B, S, a.Hidden)
-	at := func(t *tensor.Tensor, b, s, h, d int) float64 {
-		return t.Data[(b*S+s)*a.Hidden+h*hd+d]
-	}
-	addAt := func(t *tensor.Tensor, b, s, h, d int, v float64) {
-		t.Data[(b*S+s)*a.Hidden+h*hd+d] += v
+	head := func(t *tensor.Tensor, b, s, h int) []float64 {
+		return t.Data[(b*S+s)*a.Hidden+h*hd:][:hd]
 	}
 	dp := make([]float64, S)
 	for b := 0; b < B; b++ {
@@ -137,13 +138,15 @@ func (a *CausalSelfAttention) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tenso
 			for i := 0; i < S; i++ {
 				lim := a.limit(i, S)
 				row := c.probs.Data[((b*nh+h)*S+i)*S : ((b*nh+h)*S+i)*S+S]
+				g, qi, dqi := head(dCtx, b, i, h), head(c.q, b, i, h), head(dq, b, i, h)
+				dqi = dqi[:len(qi)]
 				// dprobs[j] = Σ_d dCtx[i,d] * v[j,d]; dv[j,d] += p[j]*dCtx[i,d].
 				for j := 0; j <= lim; j++ {
+					vj, dvj := head(c.v, b, j, h)[:len(g)], head(dv, b, j, h)[:len(g)]
 					var s64 float64
-					for d := 0; d < hd; d++ {
-						g := dCtx.Data[(b*S+i)*a.Hidden+h*hd+d]
-						s64 += g * at(c.v, b, j, h, d)
-						addAt(dv, b, j, h, d, row[j]*g)
+					for d, gv := range g {
+						s64 += gv * vj[d]
+						dvj[d] += row[j] * gv
 					}
 					dp[j] = s64
 				}
@@ -154,9 +157,10 @@ func (a *CausalSelfAttention) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tenso
 				}
 				for j := 0; j <= lim; j++ {
 					ds := row[j] * (dp[j] - dot) * scale
-					for d := 0; d < hd; d++ {
-						addAt(dq, b, i, h, d, ds*at(c.k, b, j, h, d))
-						addAt(dk, b, j, h, d, ds*at(c.q, b, i, h, d))
+					kj, dkj := head(c.k, b, j, h)[:len(qi)], head(dk, b, j, h)[:len(qi)]
+					for d, qv := range qi {
+						dqi[d] += ds * kj[d]
+						dkj[d] += ds * qv
 					}
 				}
 			}

@@ -87,7 +87,7 @@ func (l *Linear) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	rows, _ := c.x.Rows()
 	x2 := c.x.Reshape(rows, l.In)
 	dy2 := dy.Reshape(rows, l.Out)
-	l.W.Grad.AddInPlace(tensor.MatMulT1(x2, dy2))
+	tensor.MatMulT1Add(l.W.Grad, x2, dy2)
 	if !l.NoBias {
 		for r := 0; r < rows; r++ {
 			row := dy2.Data[r*l.Out : (r+1)*l.Out]

@@ -1,9 +1,11 @@
 // Package tensor provides the dense float64 tensors under the miniature
 // training framework (packages nn and train) that stands in for the paper's
-// PyTorch/Megatron-LM backend. It is written for numerical transparency, not
-// speed: the semantic claims it supports — pipeline-parallel training is
-// bit-compatible with serial training, micro-batch slicing does not change
-// gradients — need exact, auditable arithmetic.
+// PyTorch/Megatron-LM backend. The semantic claims it supports —
+// pipeline-parallel training is bit-compatible with serial training,
+// micro-batch slicing does not change gradients — need exact, auditable
+// arithmetic, so every kernel has a fixed summation order. The matmul
+// kernels are register-blocked for speed, yet bit-identical to the plain
+// one-term-per-pass loops kept in tensor_test.go as the reference.
 package tensor
 
 import (
@@ -141,48 +143,100 @@ func MatMul(a, b *Tensor) *Tensor {
 	n := b.Shape[1]
 	out := New(m, n)
 	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
+		accumRow(out.Data[i*n:(i+1)*n], a.Data[i*k:], 1, k, b.Data, n)
 	}
 	return out
 }
 
 // MatMulT1 returns aᵀ @ b for a [k,m], b [k,n] -> [m,n].
 func MatMulT1(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatMulT1 shapes %v x %v", a.Shape, b.Shape))
-	}
-	k, m := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
+	k, m, n := t1Shapes("MatMulT1", a, b)
 	out := New(m, n)
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*m : (p+1)*m]
-		brow := b.Data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
+	for i := 0; i < m; i++ {
+		accumRow(out.Data[i*n:(i+1)*n], a.Data[i:], m, k, b.Data, n)
 	}
 	return out
 }
 
-// MatMulT2 returns a @ bᵀ for a [m,k], b [n,k] -> [m,n].
+// t1Chunk is the column width of MatMulT1Add's stack temporary.
+const t1Chunk = 128
+
+// MatMulT1Add accumulates aᵀ @ b into dst ([m,n], a [k,m], b [k,n]). It
+// equals dst.AddInPlace(MatMulT1(a, b)) bit for bit — each product row is
+// summed in a zeroed temporary before it is added — without allocating.
+//
+//hot:accumulates every Linear weight gradient of a training step
+func MatMulT1Add(dst, a, b *Tensor) {
+	k, m, n := t1Shapes("MatMulT1Add", a, b)
+	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulT1Add into %v, want [%d %d]", dst.Shape, m, n))
+	}
+	var tmp [t1Chunk]float64
+	for i := 0; i < m; i++ {
+		drow := dst.Data[i*n : (i+1)*n]
+		for j0 := 0; j0 < n; j0 += t1Chunk {
+			d := drow[j0:min(j0+t1Chunk, n)]
+			t := tmp[:len(d)]
+			clear(t)
+			accumRow(t, a.Data[i:], m, k, b.Data[j0:], n)
+			for j, v := range t {
+				d[j] += v
+			}
+		}
+	}
+}
+
+func t1Shapes(op string, a, b *Tensor) (k, m, n int) {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
+		panic(fmt.Sprintf("tensor: %s shapes %v x %v", op, a.Shape, b.Shape))
+	}
+	return a.Shape[0], a.Shape[1], b.Shape[1]
+}
+
+// accumRow adds Σ_p coef[p*stride] · b[p*ldb : p*ldb+len(o)] into o for p in
+// [0,k). Every element sums its terms in ascending p, skipping zero
+// coefficients, exactly like the one-term-per-pass loop; the terms are
+// gathered four non-zero coefficients at a time so each pass over o folds
+// in four rows of b.
+func accumRow(o, coef []float64, stride, k int, b []float64, ldb int) {
+	n := len(o)
+	var c [4]float64
+	var r [4]int
+	g := 0
+	for p := 0; p < k; p++ {
+		cv := coef[p*stride]
+		if cv == 0 {
+			continue
+		}
+		c[g], r[g] = cv, p*ldb
+		if g++; g == 4 {
+			axpy4(o, c[0], c[1], c[2], c[3], b[r[0]:][:n], b[r[1]:][:n], b[r[2]:][:n], b[r[3]:][:n])
+			g = 0
+		}
+	}
+	for t := 0; t < g; t++ {
+		axpy(o, c[t], b[r[t]:][:n])
+	}
+}
+
+// axpy4 computes o[j] = o[j] + c0·b0[j] + c1·b1[j] + c2·b2[j] + c3·b3[j],
+// left to right.
+func axpy4(o []float64, c0, c1, c2, c3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	for j, v := range o {
+		o[j] = v + c0*b0[j] + c1*b1[j] + c2*b2[j] + c3*b3[j]
+	}
+}
+
+func axpy(o []float64, c float64, b []float64) {
+	b = b[:len(o)]
+	for j, v := range o {
+		o[j] = v + c*b[j]
+	}
+}
+
+// MatMulT2 returns a @ bᵀ for a [m,k], b [n,k] -> [m,n]. Each pass over a's
+// row computes four dot products, each summed in ascending k.
 func MatMulT2(a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulT2 shapes %v x %v", a.Shape, b.Shape))
@@ -193,11 +247,26 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	for i := 0; i < m; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := out.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b.Data[j*k:][:len(arow)]
+			b1 := b.Data[(j+1)*k:][:len(arow)]
+			b2 := b.Data[(j+2)*k:][:len(arow)]
+			b3 := b.Data[(j+3)*k:][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b.Data[j*k:][:len(arow)]
 			var s float64
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
+			for p, av := range arow {
+				s += av * brow[p]
 			}
 			orow[j] = s
 		}

@@ -188,3 +188,218 @@ func TestRowsFlattening(t *testing.T) {
 		t.Errorf("Rows = %d x %d, want 6 x 5", r, c)
 	}
 }
+
+// The one-term-per-pass matmul loops the blocked kernels replaced, kept
+// verbatim as the bit-exact reference.
+
+func refMatMul(a, b *Tensor) *Tensor {
+	m, k := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		orow := out.Data[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := arow[p]
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[p*n : (p+1)*n]
+			for j := 0; j < n; j++ {
+				orow[j] += av * brow[j]
+			}
+		}
+	}
+	return out
+}
+
+func refMatMulT1(a, b *Tensor) *Tensor {
+	k, m := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	out := New(m, n)
+	for p := 0; p < k; p++ {
+		arow := a.Data[p*m : (p+1)*m]
+		brow := b.Data[p*n : (p+1)*n]
+		for i := 0; i < m; i++ {
+			av := arow[i]
+			if av == 0 {
+				continue
+			}
+			orow := out.Data[i*n : (i+1)*n]
+			for j := 0; j < n; j++ {
+				orow[j] += av * brow[j]
+			}
+		}
+	}
+	return out
+}
+
+func refMatMulT2(a, b *Tensor) *Tensor {
+	m, k := a.Shape[0], a.Shape[1]
+	n := b.Shape[0]
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		orow := out.Data[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := b.Data[j*k : (j+1)*k]
+			var s float64
+			for p := 0; p < k; p++ {
+				s += arow[p] * brow[p]
+			}
+			orow[j] = s
+		}
+	}
+	return out
+}
+
+// sameBits reports the first element where got and want differ in their
+// bit patterns, or -1. Any NaN equals any NaN: Go leaves NaN payloads
+// unspecified, and which operand's payload an x86 add propagates depends
+// on the operand order the compiler picks for a commutative op.
+func sameBits(got, want *Tensor) int {
+	if !got.SameShape(want) {
+		return 0
+	}
+	for i, g := range got.Data {
+		w := want.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkKernels runs every matmul kernel on operands built by fill and
+// compares each with its reference bit for bit.
+func checkKernels(t *testing.T, m, k, n int, fill func(*Tensor)) {
+	t.Helper()
+	tensors := func(shape ...int) *Tensor {
+		x := New(shape...)
+		fill(x)
+		return x
+	}
+	a, b := tensors(m, k), tensors(k, n)   // MatMul
+	at, bt := tensors(k, m), tensors(n, k) // MatMulT1 lhs, MatMulT2 rhs
+	dst := tensors(m, n)
+	want := dst.Clone()
+	want.AddInPlace(refMatMulT1(at, b))
+	MatMulT1Add(dst, at, b)
+	for _, c := range []struct {
+		name      string
+		got, want *Tensor
+	}{
+		{"MatMul", MatMul(a, b), refMatMul(a, b)},
+		{"MatMulT1", MatMulT1(at, b), refMatMulT1(at, b)},
+		{"MatMulT2", MatMulT2(a, bt), refMatMulT2(a, bt)},
+		{"MatMulT1Add", dst, want},
+	} {
+		if i := sameBits(c.got, c.want); i >= 0 {
+			t.Fatalf("%s m=%d k=%d n=%d: element %d = %v (%#x), reference %v (%#x)", c.name, m, k, n, i,
+				c.got.Data[i], math.Float64bits(c.got.Data[i]), c.want.Data[i], math.Float64bits(c.want.Data[i]))
+		}
+	}
+}
+
+// filler returns a seeded element generator: Gaussian values with a share
+// of exact +0 and −0 (which exercise the zero-coefficient skip), and with
+// special set, ±Inf and NaN as well.
+func filler(rng *RNG, special bool) func(*Tensor) {
+	return func(x *Tensor) {
+		for i := range x.Data {
+			switch r := rng.Intn(20); {
+			case r < 3:
+				x.Data[i] = 0
+			case r == 3:
+				x.Data[i] = math.Copysign(0, -1)
+			case special && r == 4:
+				x.Data[i] = math.Inf(1 - 2*rng.Intn(2))
+			case special && r == 5:
+				x.Data[i] = math.NaN()
+			default:
+				x.Data[i] = rng.Norm()
+			}
+		}
+	}
+}
+
+// TestMatMulKernelsMatchReference sweeps shapes from 1 to 40 on every axis —
+// multiples of four, the ragged sizes either side of them, and seeded random
+// shapes — with zeros, −0, and non-finite inputs, and demands every kernel
+// equal its one-term-per-pass reference bit for bit.
+func TestMatMulKernelsMatchReference(t *testing.T) {
+	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 31, 32, 33, 40}
+	rng := NewRNG(2024)
+	for _, m := range dims {
+		for _, k := range dims {
+			for _, n := range dims {
+				checkKernels(t, m, k, n, filler(rng, false))
+			}
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		m, k, n := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(40)
+		checkKernels(t, m, k, n, filler(rng, i%3 == 0))
+	}
+}
+
+// TestMatMulT1AddChunks crosses MatMulT1Add's column-chunk boundary.
+func TestMatMulT1AddChunks(t *testing.T) {
+	rng := NewRNG(9)
+	for _, n := range []int{t1Chunk - 1, t1Chunk, t1Chunk + 1, 2*t1Chunk + 3} {
+		checkKernels(t, 3, 5, n, filler(rng, true))
+	}
+}
+
+func TestMatMulT1AddAllocationFree(t *testing.T) {
+	rng := NewRNG(3)
+	a, b, dst := Randn(rng, 1, 32, 128), Randn(rng, 1, 32, 97), New(128, 97)
+	if n := testing.AllocsPerRun(20, func() { MatMulT1Add(dst, a, b) }); n != 0 {
+		t.Errorf("MatMulT1Add allocated %v times per call, want 0", n)
+	}
+}
+
+func TestMatMulT1AddShapePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("MatMulT1Add accepted a mis-shaped destination")
+		}
+	}()
+	MatMulT1Add(New(3, 3), New(2, 3), New(2, 4))
+}
+
+// FuzzMatMul checks every kernel against its reference on fuzzed shapes and
+// element bytes; a few byte values decode to +0, −0, ±Inf and NaN.
+func FuzzMatMul(f *testing.F) {
+	f.Add(uint8(4), uint8(4), uint8(4), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(1), uint8(7), uint8(33), []byte{0, 0, 9, 1, 0, 200})
+	f.Add(uint8(5), uint8(6), uint8(3), []byte{2, 3, 4, 17, 0, 1})
+	f.Add(uint8(39), uint8(1), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, m, k, n uint8, data []byte) {
+		i := 0
+		fill := func(x *Tensor) {
+			for j := range x.Data {
+				var c byte
+				if len(data) > 0 {
+					c = data[i%len(data)]
+				}
+				i++
+				switch c {
+				case 0:
+					x.Data[j] = 0
+				case 1:
+					x.Data[j] = math.Copysign(0, -1)
+				case 2:
+					x.Data[j] = math.Inf(1)
+				case 3:
+					x.Data[j] = math.Inf(-1)
+				case 4:
+					x.Data[j] = math.NaN()
+				default:
+					x.Data[j] = float64(int8(c)) / 8
+				}
+			}
+		}
+		checkKernels(t, 1+int(m%40), 1+int(k%40), 1+int(n%40), fill)
+	})
+}

@@ -75,8 +75,8 @@ type microState struct {
 func (p *Pipeline) Step(micros []Batch, numSliced int, scale float64) (float64, error) {
 	nStages := len(p.Stages)
 	m := len(micros)
-	if m == 0 {
-		return 0, fmt.Errorf("%w: train: no micro-batches", errdefs.ErrBadConfig)
+	if err := checkMicros(micros, numSliced); err != nil {
+		return 0, err
 	}
 	var (
 		sched *schedule.Schedule
@@ -153,6 +153,29 @@ func (p *Pipeline) Step(micros []Batch, numSliced int, scale float64) (float64, 
 		p.Obs.Gauge("train.loss").Set(loss)
 	}
 	return loss, nil
+}
+
+// checkMicros rejects micro-batches a stage goroutine would panic on:
+// every micro-batch's Inputs and Targets must share one [B,S] shape, and B
+// must be even when any micro-batch is sliced in half.
+func checkMicros(micros []Batch, numSliced int) error {
+	if len(micros) == 0 {
+		return fmt.Errorf("%w: train: no micro-batches", errdefs.ErrBadConfig)
+	}
+	ref := micros[0].Inputs
+	for i, mb := range micros {
+		if mb.Inputs == nil || mb.Targets == nil {
+			return fmt.Errorf("%w: train: micro-batch %d has no inputs or targets", errdefs.ErrBadConfig, i)
+		}
+		if len(mb.Inputs.Shape) != 2 || !mb.Inputs.SameShape(ref) || !mb.Targets.SameShape(ref) {
+			return fmt.Errorf("%w: train: micro-batch %d inputs %v and targets %v, want both [B,S] = %v",
+				errdefs.ErrBadConfig, i, mb.Inputs.Shape, mb.Targets.Shape, ref.Shape)
+		}
+	}
+	if numSliced > 0 && ref.Shape[0]%2 != 0 {
+		return fmt.Errorf("%w: train: cannot slice micro-batches of odd size %d", errdefs.ErrBadConfig, ref.Shape[0])
+	}
+	return nil
 }
 
 // errPipelineAborted marks a stage unblocked by a peer's failure; the peer's

@@ -1,9 +1,11 @@
 package train
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"autopipe/internal/errdefs"
 	"autopipe/internal/nn"
 	"autopipe/internal/obs"
 	"autopipe/internal/tensor"
@@ -120,8 +122,8 @@ func TestSlicedRejectsOddBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	micros := tinyMicros(t, cfg, 4, 3, 5)
-	if _, err := pipe.Step(micros, 1, 1); err == nil {
-		t.Error("want error for slicing an odd micro-batch")
+	if _, err := pipe.Step(micros, 1, 1); !errors.Is(err, errdefs.ErrBadConfig) {
+		t.Errorf("slicing an odd micro-batch: err = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -300,5 +302,71 @@ func TestPipelineObs(t *testing.T) {
 	}
 	if st := snap.Histograms["train.step.seconds"]; st.Count != 1 {
 		t.Errorf("train.step.seconds count = %d, want 1", st.Count)
+	}
+}
+
+// TestStepValidatesMicros: malformed micro-batches are rejected with
+// ErrBadConfig before any stage goroutine starts, instead of panicking
+// inside one (which no goroutine recovers, so the process would die). An
+// odd batch is rejected only when sliced (TestSlicedRejectsOddBatch).
+func TestStepValidatesMicros(t *testing.T) {
+	cfg := nn.TinyGPT()
+	seq := cfg.MaxSeq - 2
+	good := func() []Batch { return tinyMicros(t, cfg, 3, 2, 5) }
+	reject := map[string]struct {
+		micros    func() []Batch
+		numSliced int
+	}{
+		"no micro-batches": {func() []Batch { return nil }, 0},
+		"targets shorter than inputs": {func() []Batch {
+			ms := good()[:1]
+			ms[0].Targets = tensor.New(2, seq-1)
+			return ms
+		}, 0},
+		"targets batch differs": {func() []Batch {
+			ms := good()
+			ms[2].Targets = tensor.New(4, seq)
+			return ms
+		}, 0},
+		"sequence length differs across micro-batches": {func() []Batch {
+			ms := good()
+			ms[1] = NewDataset(cfg.Vocab, seq-1, 5).Batch(2)
+			return ms
+		}, 0},
+		"inputs not [B,S]": {func() []Batch {
+			ms := good()
+			ms[0].Inputs, ms[0].Targets = tensor.New(2*seq), tensor.New(2*seq)
+			return ms
+		}, 0},
+		"missing targets": {func() []Batch {
+			ms := good()
+			ms[1].Targets = nil
+			return ms
+		}, 0},
+	}
+	for name, c := range reject {
+		pipe, err := NewPipeline(nn.BuildGPT(cfg), []int{0, 3, 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pipe.Step(c.micros(), c.numSliced, 1); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", name, err)
+		}
+	}
+	accept := map[string]struct {
+		micros    []Batch
+		numSliced int
+	}{
+		"even batch, sliced":  {good(), 1},
+		"odd batch, unsliced": {tinyMicros(t, cfg, 3, 3, 5), 0},
+	}
+	for name, c := range accept {
+		pipe, err := NewPipeline(nn.BuildGPT(cfg), []int{0, 3, 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pipe.Step(c.micros, c.numSliced, 1); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
