@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke bench-baseline fault-smoke service-smoke soak-smoke chaos-smoke fmt-check tier1 verify clean
+.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke perfbench-test race race-core race-wide race-all bench-smoke bench-baseline fault-smoke service-smoke soak-smoke chaos-smoke fmt-check tier1 verify clean
 
 all: build
 
@@ -51,6 +51,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzScore -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzMatMul -fuzztime=$(FUZZTIME) ./internal/tensor
+
+# perfbench-test vets and tests the end-to-end benchmark. perfbench is its own
+# Go module (perfbench/go.mod), so `go build ./...` and `go test ./...` at the
+# root never compile it; without this target an API change that breaks the
+# benchmark would only surface when the benchmark runs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # -short skips the Fig. 12 wall-clock-ordering test, whose relative search
 # times the race detector's instrumentation distorts (it fails under -race

@@ -24,7 +24,6 @@ package autopipe
 
 import (
 	"autopipe/internal/config"
-	"autopipe/internal/core"
 	"autopipe/internal/cost"
 	"autopipe/internal/model"
 	"autopipe/internal/partition"
@@ -78,53 +77,11 @@ var (
 // DefaultCluster returns the paper's 16× RTX 3090 testbed profile.
 func DefaultCluster() Cluster { return config.DefaultCluster() }
 
-// Plan runs the full AutoPipe pipeline: the Planner chooses a pipeline depth
-// and a balanced sub-layer partition, and the Slicer solves the warmup
-// micro-batch slicing. The returned Blocks is the block array the plan's
-// partition indexes (needed by Evaluate).
-//
-// Deprecated: use NewPlanner().Plan, which adds cancellation, parallel
-// candidate evaluation, and search options. Plan is equivalent to
-// NewPlanner(WithParallelism(1)).Plan(context.Background(), ...).
-// Scheduled for removal in v1.0; no in-repo code calls it anymore.
-func Plan(m Model, run Run, cluster Cluster) (*Spec, *Blocks, error) {
-	return core.PlanCluster(m, run, cluster)
-}
-
-// PlanDepth runs the heuristic partition search at a fixed pipeline depth
-// with m micro-batches per iteration, returning the planner's best candidate
-// together with its simulation.
-//
-// Deprecated: use NewPlanner().PlanDepth, which adds cancellation, parallel
-// candidate evaluation, and search options.
-// Scheduled for removal in v1.0; no in-repo code calls it anymore.
-func PlanDepth(bl *Blocks, depth, micro int) (*core.PlanResult, error) {
-	return core.PlanDepth(bl, depth, micro)
-}
-
 // Build lowers a model to AutoPipe's sub-layer block array for a micro-batch
 // size (with activation checkpointing, as in all paper experiments).
 func Build(m Model, microBatch int, cluster Cluster) (*Blocks, error) {
 	return model.Build(m, cost.Geometry{MicroBatch: microBatch, Checkpoint: true},
 		cluster.Device, cluster.Network, model.SubLayer)
-}
-
-// Simulate runs the paper's analytic pipeline simulator on explicit
-// per-stage forward/backward times.
-//
-// Deprecated: use SimulateProfile with a StageProfile value.
-// Scheduled for removal in v1.0; no in-repo code calls it anymore.
-func Simulate(f, b []float64, comm float64, micro int) (*SimResult, error) {
-	return sim.SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: micro})
-}
-
-// Slice solves Algorithm 2: the number of leading micro-batches whose
-// forwards should be split in half to hide the pipeline startup overhead.
-//
-// Deprecated: use SliceProfile with a StageProfile value.
-// Scheduled for removal in v1.0; no in-repo code calls it anymore.
-func Slice(f, b []float64, comm float64, micro int) (SlicePlan, error) {
-	return slicer.SolveProfile(StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: micro})
 }
 
 // Evaluate executes a plan for one training iteration on the discrete-event

@@ -215,9 +215,10 @@ func BenchmarkPlannerGPT2_345M(b *testing.B) {
 	cluster := config.DefaultCluster()
 	cluster.NumGPUs = 4
 	run := config.Run{MicroBatch: 4, GlobalBatch: 128, Checkpoint: true}
+	p := autopipe.NewPlanner(autopipe.WithParallelism(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := autopipe.Plan(config.GPT2_345M(), run, cluster); err != nil {
+		if _, _, err := p.Plan(context.Background(), config.GPT2_345M(), run, cluster); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,8 +231,8 @@ func BenchmarkPlannerGPT2_345M(b *testing.B) {
 // timed region — that the sequential and parallel engines return identical
 // Specs, the engine's core contract. The wall-clock ratio between the
 // parallelism=1 and parallelism=8 lines is the engine's speedup; it needs
-// spare CPU cores to materialize (on a single-core host the engine disables
-// speculation and the lines should simply stay close).
+// spare CPU cores to materialize (on a single-core host the lines should
+// simply stay close).
 func BenchmarkPlanParallel(b *testing.B) {
 	model := config.GPT2_1_3B()
 	cluster := config.DefaultCluster()

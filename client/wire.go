@@ -80,6 +80,9 @@ func (r *SubmitRequest) Validate() error {
 		if err := r.Plan.Run.Validate(); err != nil {
 			return err
 		}
+		if err := r.Plan.Cluster.Validate(); err != nil {
+			return err
+		}
 		if r.Plan.Budget < 0 {
 			return fmt.Errorf("%w: submit: search budget must be non-negative, got %d", autopipe.ErrBadConfig, r.Plan.Budget)
 		}

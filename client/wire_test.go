@@ -97,6 +97,8 @@ func TestErrorRoundTrip(t *testing.T) {
 func TestSubmitRequestValidate(t *testing.T) {
 	prof := &autopipe.StageProfile{Fwd: []float64{1}, Bwd: []float64{2}, Micro: 4}
 	payload := &PlanPayload{Model: autopipe.GPT2_345M(), Run: autopipe.Run{MicroBatch: 4, GlobalBatch: 64}, Cluster: autopipe.DefaultCluster()}
+	badCluster := *payload
+	badCluster.Cluster.Device.FlopsPerSec = -1
 	cases := []struct {
 		name string
 		req  SubmitRequest
@@ -107,6 +109,7 @@ func TestSubmitRequestValidate(t *testing.T) {
 		{"slice", SubmitRequest{Kind: KindSlice, Profile: prof}, true},
 		{"plan missing payload", SubmitRequest{Kind: KindPlan}, false},
 		{"plan with profile", SubmitRequest{Kind: KindPlan, Plan: payload, Profile: prof}, false},
+		{"plan bad cluster", SubmitRequest{Kind: KindPlan, Plan: &badCluster}, false},
 		{"simulate missing profile", SubmitRequest{Kind: KindSimulate}, false},
 		{"simulate with plan", SubmitRequest{Kind: KindSimulate, Profile: prof, Plan: payload}, false},
 		{"unknown kind", SubmitRequest{Kind: "transmogrify"}, false},

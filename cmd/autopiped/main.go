@@ -7,17 +7,19 @@
 //
 //	autopiped [-addr 127.0.0.1:7180] [-store DIR] [-workers N] \
 //	          [-rate N] [-burst N] [-queue-wait 2s] [-chaos plan.json] \
-//	          [-parallelism N] [-timeout 30s] [-cpuprofile p] [-memprofile p]
+//	          [-timeout 30s] [-cpuprofile p] [-memprofile p]
 //	autopiped -loadgen [-target URL] [-requests N] [-concurrency N] \
 //	          [-distinct N] [-bench BENCH_service.json] [-chaos plan.json]
 //	autopiped -smoke [-store DIR]
 //	autopiped -soak [-soak-cycles N] [-soak-jobs N] [-store DIR] [-chaos plan.json]
 //
-// The default mode serves until SIGINT/SIGTERM, then drains: unfinished
-// persisted jobs revert to pending so the next start re-runs them. -loadgen
-// drives plan traffic at a daemon (starting an in-process one when -target is
-// empty) and reports QPS, latency percentiles, and the cache-hit ratio;
-// -bench additionally writes the report as an autopipebench baseline.
+// Each queue worker plans its search serially; -workers is the daemon's
+// planning concurrency. The default mode serves until SIGINT/SIGTERM, then
+// drains: unfinished persisted jobs revert to pending so the next start
+// re-runs them. -loadgen drives plan traffic at a daemon (starting an
+// in-process one when -target is empty) and reports QPS, latency
+// percentiles, and the cache-hit ratio; -bench additionally writes the
+// report as an autopipebench baseline.
 // -smoke runs the end-to-end CI check against a throwaway daemon.
 // -soak runs the crash-recovery harness: it kills and restarts a real daemon
 // -soak-cycles times mid-traffic and asserts exactly-once completion, cache
@@ -58,7 +60,7 @@ func main() {
 	distinct := flag.Int("distinct", 4, "loadgen: distinct plan configurations in the traffic mix")
 	benchPath := flag.String("bench", "", "loadgen: write the report as an autopipebench baseline to this path")
 	sf := cliutil.RegisterService(flag.CommandLine)
-	pf := cliutil.RegisterPlanner(flag.CommandLine)
+	pf := cliutil.RegisterTimeout(flag.CommandLine)
 	prof := cliutil.RegisterProfile(flag.CommandLine)
 	flag.Parse()
 
@@ -103,6 +105,14 @@ func loadChaos(sf *cliutil.ServiceFlags) (*service.ChaosPlan, error) {
 	return service.LoadChaos(sf.Chaos)
 }
 
+// newHTTPServer returns the daemon's HTTP server for h. ReadHeaderTimeout
+// stops a client that trickles its headers from holding a connection, and
+// IdleTimeout closes unused keep-alives. ?wait=1 requests stay open for a
+// whole search, so there is no read or write timeout.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
+
 // serve runs the daemon until SIGINT/SIGTERM, then drains.
 func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDepth, cacheEntries int) error {
 	plan, err := loadChaos(sf)
@@ -110,7 +120,6 @@ func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDep
 		return err
 	}
 	srv, err := service.New(service.Config{
-		Parallelism:  pf.Parallelism,
 		Workers:      workers,
 		QueueDepth:   queueDepth,
 		CacheEntries: cacheEntries,
@@ -130,7 +139,7 @@ func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDep
 	if err != nil {
 		return fmt.Errorf("autopiped: listen: %w", err)
 	}
-	hs := &http.Server{Handler: service.Chaos(srv.Handler(), plan, srv.Registry())}
+	hs := newHTTPServer(service.Chaos(srv.Handler(), plan, srv.Registry()))
 	if plan != nil {
 		fmt.Printf("autopiped: chaos plan %q armed (seed=%d, %d rules)\n", plan.Name, plan.Seed, len(plan.Chaos))
 	}
@@ -169,12 +178,11 @@ func runLoadgen(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, target strin
 			return err
 		}
 		srv, err := service.New(service.Config{
-			Parallelism: pf.Parallelism,
-			Workers:     workers,
-			StoreDir:    sf.Store,
-			RateLimit:   sf.Rate,
-			RateBurst:   sf.Burst,
-			QueueWait:   sf.QueueWait,
+			Workers:   workers,
+			StoreDir:  sf.Store,
+			RateLimit: sf.Rate,
+			RateBurst: sf.Burst,
+			QueueWait: sf.QueueWait,
 		})
 		if err != nil {
 			return err
@@ -184,7 +192,7 @@ func runLoadgen(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, target strin
 		if err != nil {
 			return fmt.Errorf("autopiped: listen: %w", err)
 		}
-		hs := &http.Server{Handler: service.Chaos(srv.Handler(), plan, srv.Registry())}
+		hs := newHTTPServer(service.Chaos(srv.Handler(), plan, srv.Registry()))
 		go func() { _ = hs.Serve(ln) }()
 		defer func() {
 			shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

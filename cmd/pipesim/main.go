@@ -110,10 +110,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	f, b := part.StageTimes(bl)
+	stageProf := part.Profile(bl, *micro)
 
 	var s *schedule.Schedule
-	virtF, virtB := f, b
+	virtF, virtB := stageProf.Fwd, stageProf.Bwd
 	switch *schedName {
 	case "1f1b":
 		s, err = schedule.OneFOneB(*stages, *micro)
@@ -123,7 +123,7 @@ func main() {
 		n := *slicedN
 		if n < 0 {
 			var sp slicer.Plan
-			sp, err = slicer.Solve(f, b, bl.Comm, *micro)
+			sp, err = slicer.SolveProfile(stageProf)
 			if err != nil {
 				fail(err)
 			}
@@ -205,7 +205,7 @@ func main() {
 	for d, u := range r.Utilization() {
 		fmt.Printf("device %d utilization: %.1f%%\n", d, 100*u)
 	}
-	if sr, err := sim.Simulate(f, b, bl.Comm, *micro); err == nil && *schedName == "1f1b" {
+	if sr, err := sim.SimulateProfile(stageProf); err == nil && *schedName == "1f1b" {
 		fmt.Printf("analytic simulator: %.1f ms (gap %.1f ms)\n", sr.IterTime*1e3, (r.IterTime-sr.IterTime)*1e3)
 	}
 	if *gantt {

@@ -28,8 +28,16 @@ type PlannerFlags struct {
 // RegisterPlanner installs the shared planner flags on fs (before
 // fs.Parse). Pass flag.CommandLine for the process-wide set.
 func RegisterPlanner(fs *flag.FlagSet) *PlannerFlags {
-	pf := &PlannerFlags{}
+	pf := RegisterTimeout(fs)
 	fs.IntVar(&pf.Parallelism, "parallelism", 0, "planner search workers (0 = one per CPU); any value yields the same plan")
+	return pf
+}
+
+// RegisterTimeout installs -timeout alone, for a command that plans every
+// search serially and so takes no -parallelism (autopiped); Parallelism
+// stays 0 in the result.
+func RegisterTimeout(fs *flag.FlagSet) *PlannerFlags {
+	pf := &PlannerFlags{}
 	fs.DurationVar(&pf.Timeout, "timeout", 0, "abort planning after this duration, e.g. 30s (0 = no limit)")
 	return pf
 }

@@ -9,6 +9,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"autopipe/internal/errdefs"
@@ -91,6 +92,35 @@ type Cluster struct {
 	Network Network `json:"network"`
 	// NumGPUs is the total accelerator count available to a planner.
 	NumGPUs int `json:"num_gpus"`
+}
+
+// Validate reports the first problem with the cluster's numbers: the
+// compute, memory and network rates must be finite and positive, the memory
+// capacity positive, the kernel overhead and latency finite and
+// non-negative, and the cluster must hold at least one GPU. Errors wrap
+// errdefs.ErrBadConfig, so a malformed cluster is rejected up front instead
+// of surfacing as an infeasible plan (or as a plan from nonsense costs).
+func (c Cluster) Validate() error {
+	d, n := c.Device, c.Network
+	positive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+	nonNegative := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+	switch {
+	case !positive(d.FlopsPerSec):
+		return fmt.Errorf("%w: cluster: device flops_per_sec must be finite and positive, got %g", errdefs.ErrBadConfig, d.FlopsPerSec)
+	case !positive(d.MemBandwidth):
+		return fmt.Errorf("%w: cluster: device mem_bandwidth must be finite and positive, got %g", errdefs.ErrBadConfig, d.MemBandwidth)
+	case d.MemoryBytes <= 0:
+		return fmt.Errorf("%w: cluster: device memory_bytes must be positive, got %d", errdefs.ErrBadConfig, d.MemoryBytes)
+	case !nonNegative(d.KernelOverhead):
+		return fmt.Errorf("%w: cluster: device kernel_overhead must be finite and non-negative, got %g", errdefs.ErrBadConfig, d.KernelOverhead)
+	case !positive(n.Bandwidth):
+		return fmt.Errorf("%w: cluster: network bandwidth must be finite and positive, got %g", errdefs.ErrBadConfig, n.Bandwidth)
+	case !nonNegative(n.Latency):
+		return fmt.Errorf("%w: cluster: network latency must be finite and non-negative, got %g", errdefs.ErrBadConfig, n.Latency)
+	case c.NumGPUs < 1:
+		return fmt.Errorf("%w: cluster: num_gpus must be at least 1, got %d", errdefs.ErrBadConfig, c.NumGPUs)
+	}
+	return nil
 }
 
 // Run describes one training configuration to plan or execute.

@@ -1,8 +1,13 @@
 package config
 
 import (
+	"errors"
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"autopipe/internal/errdefs"
 )
 
 func TestZooValidatesAndMatchesTable1(t *testing.T) {
@@ -107,6 +112,58 @@ func TestDefaultClusterProfile(t *testing.T) {
 	}
 	if cl.Network.Bandwidth <= 0 || cl.Network.Latency <= 0 {
 		t.Error("network profile not positive")
+	}
+}
+
+// TestClusterValidateFixtures holds Cluster.Validate's must-accept (*_ok)
+// and must-reject (*_bad) fixtures: at least one rejection per field, and
+// NaN and +Inf for every float.
+func TestClusterValidateFixtures(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Cluster)
+	}{
+		{"default_ok", func(*Cluster) {}},
+		{"one_gpu_ok", func(c *Cluster) { c.NumGPUs = 1 }},
+		{"zero_costs_ok", func(c *Cluster) { c.Device.KernelOverhead, c.Network.Latency = 0, 0 }},
+		{"tiny_rates_ok", func(c *Cluster) {
+			c.Device.FlopsPerSec, c.Device.MemBandwidth, c.Network.Bandwidth = 1e-300, 1e-300, 1e-300
+		}},
+		{"huge_finite_ok", func(c *Cluster) { c.Device.FlopsPerSec = math.MaxFloat64 }},
+		{"one_byte_ok", func(c *Cluster) { c.Device.MemoryBytes = 1 }},
+		{"flops_negative_bad", func(c *Cluster) { c.Device.FlopsPerSec = -1 }},
+		{"flops_zero_bad", func(c *Cluster) { c.Device.FlopsPerSec = 0 }},
+		{"flops_nan_bad", func(c *Cluster) { c.Device.FlopsPerSec = nan }},
+		{"flops_inf_bad", func(c *Cluster) { c.Device.FlopsPerSec = inf }},
+		{"flops_neg_inf_bad", func(c *Cluster) { c.Device.FlopsPerSec = -inf }},
+		{"mem_bandwidth_zero_bad", func(c *Cluster) { c.Device.MemBandwidth = 0 }},
+		{"mem_bandwidth_nan_bad", func(c *Cluster) { c.Device.MemBandwidth = nan }},
+		{"mem_bandwidth_inf_bad", func(c *Cluster) { c.Device.MemBandwidth = inf }},
+		{"memory_zero_bad", func(c *Cluster) { c.Device.MemoryBytes = 0 }},
+		{"memory_negative_bad", func(c *Cluster) { c.Device.MemoryBytes = -1 }},
+		{"overhead_negative_bad", func(c *Cluster) { c.Device.KernelOverhead = -1e-6 }},
+		{"overhead_nan_bad", func(c *Cluster) { c.Device.KernelOverhead = nan }},
+		{"overhead_inf_bad", func(c *Cluster) { c.Device.KernelOverhead = inf }},
+		{"bandwidth_negative_bad", func(c *Cluster) { c.Network.Bandwidth = -10e9 }},
+		{"bandwidth_nan_bad", func(c *Cluster) { c.Network.Bandwidth = nan }},
+		{"bandwidth_inf_bad", func(c *Cluster) { c.Network.Bandwidth = inf }},
+		{"latency_negative_bad", func(c *Cluster) { c.Network.Latency = -1 }},
+		{"latency_nan_bad", func(c *Cluster) { c.Network.Latency = nan }},
+		{"latency_inf_bad", func(c *Cluster) { c.Network.Latency = inf }},
+		{"gpus_zero_bad", func(c *Cluster) { c.NumGPUs = 0 }},
+		{"gpus_negative_bad", func(c *Cluster) { c.NumGPUs = -4 }},
+		{"empty_bad", func(c *Cluster) { *c = Cluster{} }},
+	} {
+		c := DefaultCluster()
+		tc.edit(&c)
+		err := c.Validate()
+		if strings.HasSuffix(tc.name, "_ok") && err != nil {
+			t.Errorf("%s: Validate = %v, want nil", tc.name, err)
+		}
+		if strings.HasSuffix(tc.name, "_bad") && !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("%s: Validate = %v, want ErrBadConfig", tc.name, err)
+		}
 	}
 }
 

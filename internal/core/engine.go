@@ -245,17 +245,11 @@ type expansion struct {
 	moveErr  [maxMasterMoves]error
 }
 
-// seedSlot, spec, and moveRef are the per-task slots of the three stored
-// worker tasks (seedTask, phaseATask, phaseBTask).
+// seedSlot and moveRef are the per-task slots of the seed and phase-B
+// worker tasks (seedTask, phaseBTask); phase A writes into its expansion.
 type seedSlot struct {
 	cand Candidate
 	err  error
-}
-
-// spec is one speculative cache-warming evaluation.
-type spec struct {
-	part partition.Partition
-	m    int
 }
 
 // moveRef addresses one master-move evaluation: expansion x, move index j.
@@ -277,14 +271,6 @@ type engine struct {
 	// backtrack from it.
 	table    *partition.Table
 	tableErr error
-	// prefetch enables speculative evaluation: while phase A computes an
-	// item's cooldown adjustment, idle workers warm the cache with the
-	// master moves of the unadjusted partition — exactly phase B's task
-	// list whenever the adjustment turns out to be a no-op, which is the
-	// common case near convergence. Speculation only ever touches the
-	// cache, so results are identical with it on or off; it is disabled
-	// when there are no spare cores to run it on.
-	prefetch bool
 
 	// Wave-scratch arenas, truncated and refilled every wave so the search
 	// loop reuses their backing instead of reallocating per wave, and the
@@ -292,22 +278,19 @@ type engine struct {
 	ds        []*depthState
 	seedSlots []seedSlot
 	exps      []expansion
-	specs     []spec
 	refs      []moveRef
-	moveBuf   []partition.Partition
 
 	// The worker tasks, bound once at construction: handing runTasks a
 	// stored value instead of a per-wave closure keeps closure creation out
 	// of the wave loop.
-	taskSeed, taskAB, taskB func(w, i int)
+	taskSeed, taskA, taskB func(w, i int)
 }
 
 func newEngine(bl *model.Blocks, opts Options) *engine {
 	e := &engine{opts: opts, par: opts.parallelism(), bl: bl}
 	e.workers = make([]worker, e.par)
-	e.prefetch = e.par > 1 && runtime.NumCPU() > 1
 	e.taskSeed = e.seedTask
-	e.taskAB = e.phaseATask
+	e.taskA = e.phaseATask
 	e.taskB = e.phaseBTask
 	return e
 }
@@ -337,17 +320,11 @@ func (e *engine) seedTask(w, i int) {
 	e.seedSlots[i].cand, e.seedSlots[i].err = e.cache.eval(&e.workers[w], e.bl, part, d.m)
 }
 
-// phaseATask runs one phase-A slot: a cooldown adjustment for i < len(exps),
-// a speculative cache warm above that.
+// phaseATask runs the cooldown adjustment of expansion i.
 //
 //hot:runs on the search worker pool
 func (e *engine) phaseATask(w, i int) {
-	if i < len(e.exps) {
-		e.expandA(&e.workers[w], &e.exps[i])
-		return
-	}
-	s := e.specs[i-len(e.exps)]
-	e.cache.eval(&e.workers[w], e.bl, s.part, s.m) //nolint:errcheck // cache-warming only
+	e.expandA(&e.workers[w], &e.exps[i])
 }
 
 // phaseBTask evaluates one master-move candidate into its expansion slot.
@@ -470,25 +447,9 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 			return nil
 		}
 
-		// Phase A: cooldown adjustments, one task per wave item. With spare
-		// workers, speculative tasks warm the cache with each item's
-		// pre-adjustment master moves; when the adjustment is a no-op those
-		// are phase B's exact evaluations, collapsing the round's critical
-		// path from two sequential simulations to one.
+		// Phase A: cooldown adjustments, one task per wave item.
 		adjustSW := obs.NewStopwatch()
-		e.specs = e.specs[:0]
-		if e.prefetch {
-			for xi := range e.exps {
-				x := &e.exps[xi]
-				if i := x.item.Score.Master; i > 0 {
-					e.moveBuf = masterMoves(x.item.Partition, i, e.table, e.moveBuf[:0])
-					for _, mv := range e.moveBuf {
-						e.specs = append(e.specs, spec{mv, x.d.m})
-					}
-				}
-			}
-		}
-		runTasks(ctx, e.par, len(e.exps)+len(e.specs), e.taskAB)
+		runTasks(ctx, e.par, len(e.exps), e.taskA)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -622,14 +583,17 @@ func depthLowerBound(bl *model.Blocks, p, m int) float64 {
 // best-so-far score, and finally sizes the micro-batch slicing with
 // Algorithm 2 on the winning partition.
 //
-// The returned error wraps errdefs.ErrBadConfig for invalid inputs,
-// errdefs.ErrInfeasible when no plan fits device memory, and the context
-// error when ctx is cancelled or times out.
+// The returned error wraps errdefs.ErrBadConfig for an invalid run or
+// cluster, errdefs.ErrInfeasible when no plan fits device memory, and the
+// context error when ctx is cancelled or times out.
 func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, cluster config.Cluster, opts Options) (*plan.Spec, *model.Blocks, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("core: plan %s: %w", mc.Name, err)
 	}
 	if err := run.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := cluster.Validate(); err != nil {
 		return nil, nil, err
 	}
 	searchSW := obs.NewStopwatch()
@@ -639,9 +603,6 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 		return nil, nil, err
 	}
 	g := cluster.NumGPUs
-	if g <= 0 {
-		return nil, nil, fmt.Errorf("%w: core: cluster has no GPUs", errdefs.ErrBadConfig)
-	}
 
 	e := newEngine(bl, opts)
 	var ds []*depthState

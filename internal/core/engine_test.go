@@ -143,10 +143,7 @@ func TestDepthLowerBoundSound(t *testing.T) {
 		for _, p := range []int{2, 4, 8} {
 			m := 2 * p
 			lb := depthLowerBound(bl, p, m)
-			res, err := PlanDepth(bl, p, m)
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", mc.Name, p, err)
-			}
+			res := planDepth(t, bl, p, m)
 			if res.Best.Sim.IterTime < lb-1e-9 {
 				t.Errorf("%s p=%d: best %.4f s beats the 'lower bound' %.4f s",
 					mc.Name, p, res.Best.Sim.IterTime, lb)
@@ -182,10 +179,7 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 			}
 			dp := cluster.NumGPUs / p
 			m := run.MicroBatches(dp)
-			res, err := PlanDepth(bl, p, m)
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", tc.mc.Name, p, err)
-			}
+			res := planDepth(t, bl, p, m)
 			if ok, _ := memory.Fits(bl, res.Best.Partition, m, memory.OneFOneB, 1, cluster.Device); !ok {
 				continue
 			}
@@ -207,31 +201,6 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 		if diff := spec.Predicted - bestScore; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("%s mbs=%d: engine predicted %.6f s, brute force %.6f s", tc.mc.Name, tc.mbs, spec.Predicted, bestScore)
 		}
-	}
-}
-
-// TestPrefetchDoesNotChangeResults forces the speculative cache-warming path
-// (normally gated on spare cores) and checks the search result and telemetry
-// are identical to the plain engine's — speculation must only ever touch the
-// cache.
-func TestPrefetchDoesNotChangeResults(t *testing.T) {
-	bl := buildSub(t, config.GPT2_762M(), 4)
-	plain, err := PlanDepthOpts(context.Background(), bl, 4, 16, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(bl, Options{Parallelism: 4})
-	e.prefetch = true
-	d := &depthState{p: 4, m: 16, seen: make(map[string]bool)}
-	if err := e.run(context.Background(), []*depthState{d}, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !d.best.Partition.Equal(plain.Best.Partition) {
-		t.Errorf("prefetch changed the best partition: %v vs %v", d.best.Partition, plain.Best.Partition)
-	}
-	if d.tel.Candidates != plain.Telemetry.Candidates || d.tel.Accepted != plain.Telemetry.Accepted {
-		t.Errorf("prefetch changed telemetry: (%d, %d) vs (%d, %d)",
-			d.tel.Candidates, d.tel.Accepted, plain.Telemetry.Candidates, plain.Telemetry.Accepted)
 	}
 }
 

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"autopipe/internal/model"
@@ -78,16 +77,6 @@ type PlanResult struct {
 	Seed Candidate
 	// Telemetry details the search effort behind Best.
 	Telemetry Telemetry
-}
-
-// PlanDepth searches for a balanced partition of bl into p stages for
-// iterations of m micro-batches.
-//
-// Deprecated: use PlanDepthOpts, which adds cancellation, parallel candidate
-// evaluation, and engine options. PlanDepth is equivalent to calling
-// PlanDepthOpts with context.Background() and a single-worker Options.
-func PlanDepth(bl *model.Blocks, p, m int) (*PlanResult, error) {
-	return PlanDepthOpts(context.Background(), bl, p, m, Options{Parallelism: 1})
 }
 
 // evaluate simulates one partition in full, without the engine's cache: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"autopipe/internal/config"
@@ -20,14 +21,21 @@ func buildSub(t *testing.T, mc config.Model, mbs int) *model.Blocks {
 	return bl
 }
 
+// planDepth runs a serial fixed-depth search, failing the test on error.
+func planDepth(t *testing.T, bl *model.Blocks, p, m int) *PlanResult {
+	t.Helper()
+	res, err := PlanDepthOpts(context.Background(), bl, p, m, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("plan depth %d with %d micro-batches: %v", p, m, err)
+	}
+	return res
+}
+
 func TestPlanDepthReproducesTable2Scheme4(t *testing.T) {
 	// The planner's choice for GPT-2 345M at 4 stages is Table II's
 	// partition 4: 6.5 / 6.5 / 6.5 / 4.5 layers.
 	bl := buildSub(t, config.GPT2_345M(), 4)
-	res, err := PlanDepth(bl, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := planDepth(t, bl, 4, 8)
 	got := res.Best.Partition.LayerCounts(bl)
 	want := []float64{6.5, 6.5, 6.5, 4.5}
 	for i := range want {
@@ -41,10 +49,7 @@ func TestPlanDepthNeverWorseThanSeed(t *testing.T) {
 	for _, mc := range config.Zoo() {
 		for _, p := range []int{2, 4, 8} {
 			bl := buildSub(t, mc, 4)
-			res, err := PlanDepth(bl, p, 2*p)
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", mc.Name, p, err)
-			}
+			res := planDepth(t, bl, p, 2*p)
 			if res.Best.Sim.IterTime > res.Seed.Sim.IterTime+1e-12 {
 				t.Errorf("%s p=%d: heuristic (%.2f ms) worse than Algorithm 1 seed (%.2f ms)",
 					mc.Name, p, res.Best.Sim.IterTime*1e3, res.Seed.Sim.IterTime*1e3)
@@ -61,10 +66,7 @@ func TestPlanDepthBeatsEvenPartition(t *testing.T) {
 	// head/embedding imbalance matters (any depth).
 	bl := buildSub(t, config.GPT2_345M(), 4)
 	for _, p := range []int{2, 4, 8, 12} {
-		res, err := PlanDepth(bl, p, 2*p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := planDepth(t, bl, p, 2*p)
 		// Build the even partition by hand: L/p layers per stage.
 		L := bl.Model.Layers
 		bounds := make([]int, p+1)
@@ -89,10 +91,7 @@ func TestPlanDepthBeatsEvenPartition(t *testing.T) {
 
 func TestPlanDepthSingleStage(t *testing.T) {
 	bl := buildSub(t, config.GPT2_345M(), 4)
-	res, err := PlanDepth(bl, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := planDepth(t, bl, 1, 8)
 	if res.Best.Partition.Stages() != 1 {
 		t.Errorf("depth 1 produced %d stages", res.Best.Partition.Stages())
 	}
@@ -145,7 +144,7 @@ func TestPlanClusterDepthChoicesMatchPaper(t *testing.T) {
 		c := cl
 		c.NumGPUs = tc.gpus
 		run := config.Run{MicroBatch: tc.mbs, GlobalBatch: tc.gbs, Checkpoint: true}
-		spec, _, err := PlanCluster(tc.mc, run, c)
+		spec, _, err := PlanClusterOpts(context.Background(), tc.mc, run, c, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s %d GPUs mbs %d: %v", tc.mc.Name, tc.gpus, tc.mbs, err)
 		}
@@ -166,11 +165,11 @@ func TestPlanClusterRejectsInfeasible(t *testing.T) {
 	cl.NumGPUs = 1
 	// GPT-2 1.3B cannot fit one 24 GB device at micro-batch 16 at any depth.
 	run := config.Run{MicroBatch: 16, GlobalBatch: 512, Checkpoint: true}
-	if _, _, err := PlanCluster(config.GPT2_1_3B(), run, cl); err == nil {
+	if _, _, err := PlanClusterOpts(context.Background(), config.GPT2_1_3B(), run, cl, Options{Parallelism: 1}); err == nil {
 		t.Error("want error: no feasible single-GPU plan for GPT-2 1.3B")
 	}
 	// Invalid run configs are rejected up front.
-	if _, _, err := PlanCluster(config.GPT2_345M(), config.Run{}, cl); err == nil {
+	if _, _, err := PlanClusterOpts(context.Background(), config.GPT2_345M(), config.Run{}, cl, Options{Parallelism: 1}); err == nil {
 		t.Error("want error for invalid run")
 	}
 }

@@ -104,7 +104,7 @@ func TestMetricsWithSimWindows(t *testing.T) {
 	p, m := 4, 8
 	f := []float64{1, 1.5, 1.2, 0.8}
 	b := []float64{2, 3, 2.4, 1.6}
-	sr, err := sim.Simulate(f, b, 0, m)
+	sr, err := sim.SimulateProfile(sim.StageProfile{Fwd: f, Bwd: b, Micro: m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -333,7 +333,7 @@ func TestExecMatchesSimWithoutOverheads(t *testing.T) {
 			f[i] = next()
 			b[i] = 2 * f[i]
 		}
-		sr, err := sim.Simulate(f, b, 0, m)
+		sr, err := sim.SimulateProfile(sim.StageProfile{Fwd: f, Bwd: b, Micro: m})
 		if err != nil {
 			return false
 		}
@@ -380,7 +380,7 @@ func TestSimUpperBoundsExecWithComm(t *testing.T) {
 			b[i] = 3 * f[i]
 		}
 		const comm = 0.05
-		sr, err := sim.Simulate(f, b, comm, m)
+		sr, err := sim.SimulateProfile(sim.StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: m})
 		if err != nil {
 			return false
 		}

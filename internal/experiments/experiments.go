@@ -150,8 +150,7 @@ func (e Env) ComparePoint(mc config.Model, depth, mbs, m int) (map[string]Method
 		}
 		numSliced := 0
 		if slice && depth > 1 {
-			f, b := part.StageTimes(bl)
-			sp, err := slicer.Solve(f, b, bl.Comm, m)
+			sp, err := slicer.SolveProfile(part.Profile(bl, m))
 			if err != nil {
 				return MethodResult{}, err
 			}

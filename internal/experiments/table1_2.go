@@ -83,8 +83,7 @@ func (e Env) Table2() (*tableio.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, b := part.StageTimes(bl)
-		r, err := sim.Simulate(f, b, bl.Comm, 8)
+		r, err := sim.SimulateProfile(part.Profile(bl, 8))
 		if err != nil {
 			return nil, err
 		}

@@ -75,8 +75,7 @@ func (e Env) PlannerTelemetry() ([]TelemetryRecord, *tableio.Table, error) {
 		if len(tel.Convergence) > 0 {
 			rec.FirstIter = tel.Convergence[0]
 		}
-		f, b := res.Best.Partition.StageTimes(bl)
-		sp, err := slicer.Solve(f, b, bl.Comm, c.m)
+		sp, err := slicer.SolveProfile(res.Best.Partition.Profile(bl, c.m))
 		if err != nil {
 			return nil, nil, err
 		}

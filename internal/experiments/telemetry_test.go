@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"autopipe/internal/config"
-	"autopipe/internal/core"
 	"autopipe/internal/obs"
 )
 
@@ -51,7 +50,7 @@ func TestTelemetryPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.PlanDepth(bl, 4, 16)
+	res, err := e.planDepth(bl, 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

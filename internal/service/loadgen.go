@@ -192,9 +192,10 @@ type loadgenConfig struct {
 	cluster autopipe.Cluster
 }
 
-// loadgenConfigs builds n distinct (model, run, cluster) triples. They vary
-// the GPU count and global batch so each is a genuinely different search,
-// while staying small enough that a search takes milliseconds, not minutes.
+// loadgenConfigs builds n plan configurations with pairwise-distinct cache
+// keys: the global batch grows by one micro-batch (8 samples) per
+// configuration, while the model and GPU count alternate so the mix spans
+// different searches. Each stays small enough to search in milliseconds.
 func loadgenConfigs(n int) []loadgenConfig {
 	zoo := []autopipe.Model{autopipe.GPT2_345M(), autopipe.BERTLarge()}
 	out := make([]loadgenConfig, n)
@@ -203,7 +204,7 @@ func loadgenConfigs(n int) []loadgenConfig {
 		cluster.NumGPUs = 4 + 4*(i%2)
 		out[i] = loadgenConfig{
 			model:   zoo[i%len(zoo)],
-			run:     autopipe.Run{MicroBatch: 8, GlobalBatch: 256 << (i % 3), Checkpoint: true},
+			run:     autopipe.Run{MicroBatch: 8, GlobalBatch: 256 + 8*i, Checkpoint: true},
 			cluster: cluster,
 		}
 	}

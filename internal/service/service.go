@@ -1,6 +1,6 @@
 // Package service implements autopiped, the planner-as-a-service daemon: a
-// job queue with a bounded worker pool over the existing parallel planning
-// engine, a content-addressed plan cache with singleflight dedup (a million
+// job queue with a bounded worker pool over the planning engine, a
+// content-addressed plan cache with singleflight dedup (a million
 // near-identical plan requests cost one search), a JSON-on-disk job store
 // that survives restarts, and an HTTP/JSON API whose typed wire errors
 // round-trip the errdefs sentinels (client-side errors.Is sees exactly what
@@ -33,16 +33,14 @@ import (
 	"autopipe/internal/obs"
 )
 
-// Config parameterizes a Server. The zero value serves with one queue
-// worker per CPU, a 256-deep queue, a 1024-entry cache, and no persistence.
+// Config parameterizes a Server. The zero value serves with four queue
+// workers, a 256-deep queue, a 1024-entry cache, and no persistence.
 type Config struct {
-	// Parallelism is the planner worker-pool size used inside each plan
-	// search (the engine knob); <= 0 means one per CPU. It is not part of
-	// the cache key — plans are identical at every setting.
-	Parallelism int
 	// Workers is the number of queue workers executing jobs concurrently;
-	// <= 0 means 4. Distinct requests run in parallel; identical requests
-	// coalesce via singleflight regardless of this setting.
+	// <= 0 means 4. Each worker plans its search serially, so the workers
+	// are the daemon's only planning concurrency: distinct requests run in
+	// parallel, and identical requests coalesce via singleflight regardless
+	// of this setting.
 	Workers int
 	// QueueDepth bounds the pending-job queue; <= 0 means 256. A full
 	// queue rejects submissions with 503 unavailable (the client retries).
@@ -560,7 +558,7 @@ func (s *Server) runEngine(ctx context.Context, req client.SubmitRequest) (json.
 	switch req.Kind {
 	case client.KindPlan:
 		p := autopipe.NewPlanner(
-			autopipe.WithParallelism(s.cfg.Parallelism),
+			autopipe.WithParallelism(1),
 			autopipe.WithSearchBudget(req.Plan.Budget),
 			autopipe.WithObserver(s.reg),
 		)

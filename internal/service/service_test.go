@@ -280,6 +280,39 @@ func TestSimulateRejectsOversizedProfile(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsBadCluster: a plan request whose cluster numbers are out of
+// range is a 400 bad_config at submit, before any search runs. Before
+// Cluster.Validate a negative FlopsPerSec returned a plan, and a zero or NaN
+// one a 422 infeasible. JSON cannot carry NaN, so those values go straight
+// to the engine, which must return the same error.
+func TestPlanRejectsBadCluster(t *testing.T) {
+	srv, hs := newTestServer(t, Config{}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
+		t.Error("engine ran for an invalid cluster")
+		return stubResult(), nil
+	})
+	req := testPlanBody(0)
+	req.Plan.Cluster.Device.FlopsPerSec = -1
+	resp, data := submit(t, hs.URL, req, true)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, data)
+	}
+	if we := decodeWireError(t, data); we.Code != client.CodeBadConfig {
+		t.Errorf("code = %q, want %q", we.Code, client.CodeBadConfig)
+	}
+	for _, edit := range []func(*autopipe.Cluster){
+		func(c *autopipe.Cluster) { c.Device.FlopsPerSec = math.Inf(1) },
+		func(c *autopipe.Cluster) { c.Device.FlopsPerSec = 0 },
+		func(c *autopipe.Cluster) { c.Device.FlopsPerSec = math.NaN() },
+		func(c *autopipe.Cluster) { c.Network.Bandwidth = math.NaN() },
+	} {
+		req := testPlanBody(0)
+		edit(&req.Plan.Cluster)
+		if _, err := srv.runEngine(context.Background(), req); !errors.Is(err, autopipe.ErrBadConfig) {
+			t.Errorf("%+v: engine error %v, want ErrBadConfig", req.Plan.Cluster, err)
+		}
+	}
+}
+
 // TestJobNotFound proves unknown job IDs map to 404 not_found.
 func TestJobNotFound(t *testing.T) {
 	_, hs := newTestServer(t, Config{}, nil)

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"autopipe"
 	"autopipe/client"
 	"autopipe/internal/errdefs"
 )
@@ -207,7 +206,7 @@ func Soak(ctx context.Context, opts SoakOptions) (*SoakReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	configs := soakConfigs(opts.Jobs)
+	configs := loadgenConfigs(opts.Jobs)
 	jobErrs := make([]error, opts.Jobs)
 	fmt.Fprintf(out, "soak: %d jobs, %d kill/restart cycles, store %s\n", opts.Jobs, opts.Cycles, opts.StoreDir)
 
@@ -332,21 +331,4 @@ func plantDamage(dir string, cycle int) ([]string, error) {
 		return []string{torn}, fmt.Errorf("service: soak plant damage: %w", err)
 	}
 	return []string{torn, tmp}, nil
-}
-
-// soakConfigs builds n plan configurations with pairwise-distinct cache keys
-// (the global batch varies linearly), each cheap enough to search in
-// milliseconds.
-func soakConfigs(n int) []loadgenConfig {
-	out := make([]loadgenConfig, n)
-	for i := range out {
-		cluster := autopipe.DefaultCluster()
-		cluster.NumGPUs = 4 + 4*(i%2)
-		out[i] = loadgenConfig{
-			model:   autopipe.GPT2_345M(),
-			run:     autopipe.Run{MicroBatch: 8, GlobalBatch: 128 * (i + 2), Checkpoint: true},
-			cluster: cluster,
-		}
-	}
-	return out
 }

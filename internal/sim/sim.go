@@ -147,14 +147,6 @@ func (r *Result) Score() Score {
 	return Score{IterTime: r.IterTime, Startup: r.Startup, Master: r.Master}
 }
 
-// Simulate runs one synchronous 1F1B iteration with per-stage forward times
-// f, backward times b, communication constant comm, and m micro-batches.
-//
-// Deprecated: use SimulateProfile with a StageProfile value.
-func Simulate(f, b []float64, comm float64, m int) (*Result, error) {
-	return SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: m})
-}
-
 // SimulateProfile runs one synchronous 1F1B iteration for the profile and
 // materialises every op: the explain/report path. Searches that only rank
 // candidates call Scratch.Score, which runs the same recurrences without

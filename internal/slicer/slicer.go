@@ -32,14 +32,6 @@ type Plan struct {
 	Converged bool
 }
 
-// Solve runs Algorithm 2 on per-stage forward times f, backward times b and
-// communication constant comm, for a pipeline of m micro-batches.
-//
-// Deprecated: use SolveProfile with a sim.StageProfile value.
-func Solve(f, b []float64, comm float64, m int) (Plan, error) {
-	return SolveProfile(sim.StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: m})
-}
-
 // SolveProfile runs Algorithm 2 on a stage profile.
 //
 // The algorithm simulates the sliced warmup: endt[i][0] and endt[i][1] track
@@ -133,14 +125,4 @@ func SolveProfile(prof sim.StageProfile) (Plan, error) {
 	// Every warmup micro-batch is already split; slicing further is
 	// inoperative for startup reduction (paper §III-C).
 	return Plan{NumSliced: mb, Stages: p, Micro: m, Rounds: rounds}, nil
-}
-
-// SolveUniform is a convenience wrapper for a uniform pipeline.
-func SolveUniform(p int, f, b, comm float64, m int) (Plan, error) {
-	fs := make([]float64, p)
-	bs := make([]float64, p)
-	for i := range fs {
-		fs[i], bs[i] = f, b
-	}
-	return Solve(fs, bs, comm, m)
 }

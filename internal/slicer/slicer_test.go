@@ -7,12 +7,23 @@ import (
 	"autopipe/internal/config"
 	"autopipe/internal/exec"
 	"autopipe/internal/schedule"
+	"autopipe/internal/sim"
 )
+
+// uniform is the profile of a p-stage pipeline whose stages all take f
+// forward and b backward.
+func uniform(p int, f, b, comm float64, m int) sim.StageProfile {
+	prof := sim.StageProfile{Fwd: make([]float64, p), Bwd: make([]float64, p), Comm: comm, Micro: m}
+	for i := range prof.Fwd {
+		prof.Fwd[i], prof.Bwd[i] = f, b
+	}
+	return prof
+}
 
 func TestSolveUniformSlicesOne(t *testing.T) {
 	// The paper's Fig. 8 example: a 4-stage pipeline with checkpointed
 	// backward (b = 3f) needs only micro-batch 0 sliced.
-	p, err := SolveUniform(4, 1, 3, 0.01, 8)
+	p, err := SolveProfile(uniform(4, 1, 3, 0.01, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +33,7 @@ func TestSolveUniformSlicesOne(t *testing.T) {
 }
 
 func TestSolveSingleStage(t *testing.T) {
-	p, err := SolveUniform(1, 1, 2, 0, 8)
+	p, err := SolveProfile(uniform(1, 1, 2, 0, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +43,13 @@ func TestSolveSingleStage(t *testing.T) {
 }
 
 func TestSolveErrors(t *testing.T) {
-	if _, err := Solve(nil, nil, 0, 4); err == nil {
+	if _, err := SolveProfile(sim.StageProfile{Micro: 4}); err == nil {
 		t.Error("want error for empty stages")
 	}
-	if _, err := Solve([]float64{1}, []float64{1, 2}, 0, 4); err == nil {
+	if _, err := SolveProfile(sim.StageProfile{Fwd: []float64{1}, Bwd: []float64{1, 2}, Micro: 4}); err == nil {
 		t.Error("want error for mismatched lengths")
 	}
-	if _, err := Solve([]float64{1}, []float64{2}, 0, 0); err == nil {
+	if _, err := SolveProfile(sim.StageProfile{Fwd: []float64{1}, Bwd: []float64{2}}); err == nil {
 		t.Error("want error for zero micro-batches")
 	}
 }
@@ -46,11 +57,11 @@ func TestSolveErrors(t *testing.T) {
 func TestSolveLightBackwardSlicesMore(t *testing.T) {
 	// Without checkpointing (b < 2f) the deadline is tighter and more
 	// micro-batches must be sliced than with a heavy backward.
-	heavy, err := SolveUniform(6, 1, 3, 0.01, 12)
+	heavy, err := SolveProfile(uniform(6, 1, 3, 0.01, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	light, err := SolveUniform(6, 1, 1.2, 0.01, 12)
+	light, err := SolveProfile(uniform(6, 1, 1.2, 0.01, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +76,7 @@ func TestSolveBounds(t *testing.T) {
 		p := 2 + int(pRaw)%10
 		m := 1 + int(mRaw)%20
 		b := 1 + float64(bRaw%40)/10
-		plan, err := SolveUniform(p, 1, b, 0.02, m)
+		plan, err := SolveProfile(uniform(p, 1, b, 0.02, m))
 		if err != nil {
 			return false
 		}
@@ -91,12 +102,8 @@ func TestSolvedCountHalvesStartupWithoutSlowingIteration(t *testing.T) {
 		{4, 8, 1, 2},
 		{6, 12, 2, 6},
 	} {
-		fs := make([]float64, tc.p)
-		bs := make([]float64, tc.p)
-		for i := range fs {
-			fs[i], bs[i] = tc.f, tc.b
-		}
-		plan, err := Solve(fs, bs, 0, tc.m)
+		prof := uniform(tc.p, tc.f, tc.b, 0, tc.m)
+		plan, err := SolveProfile(prof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +112,7 @@ func TestSolvedCountHalvesStartupWithoutSlowingIteration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := exec.Config{VirtFwd: fs, VirtBwd: bs, Network: net}
+		cfg := exec.Config{VirtFwd: prof.Fwd, VirtBwd: prof.Bwd, Network: net}
 		rb, err := exec.Run(base, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +133,7 @@ func TestSolvedCountHalvesStartupWithoutSlowingIteration(t *testing.T) {
 }
 
 func TestSolveMatchesGeometry(t *testing.T) {
-	p, err := SolveUniform(4, 1, 3, 0, 8)
+	p, err := SolveProfile(uniform(4, 1, 3, 0, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,9 @@ func NewPlanner(options ...PlannerOption) *Planner {
 // micro-batch slicing. The returned Blocks is the block array the plan's
 // partition indexes (needed by Evaluate).
 //
-// Plan validates run up front (wrapping ErrBadConfig), returns ErrInfeasible
-// when no partition fits device memory, and honors ctx cancellation and
-// deadlines.
+// Plan validates run and cluster up front (wrapping ErrBadConfig), returns
+// ErrInfeasible when no partition fits device memory, and honors ctx
+// cancellation and deadlines.
 func (p *Planner) Plan(ctx context.Context, m Model, run Run, cluster Cluster) (*Spec, *Blocks, error) {
 	return core.PlanClusterOpts(ctx, m, run, cluster, p.opts)
 }
